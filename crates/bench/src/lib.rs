@@ -1,4 +1,4 @@
-//! # trajdp-bench
+//! # trajdp_bench
 //!
 //! Shared harness for regenerating the paper's experimental artifacts:
 //!
@@ -18,6 +18,7 @@
 
 use std::time::{Duration, Instant};
 use trajdp_attacks::{HmmMapMatcher, LinkingAttack, SignatureType};
+use trajdp_core::pool::map_chunks;
 use trajdp_metrics::{
     diameter_divergence, frequent_pattern_f1, information_loss, mutual_information,
     recovery_metrics, trip_divergence, RecoveryMetrics,
@@ -145,18 +146,12 @@ pub fn recover_parallel(
     trajs: &[trajdp_model::Trajectory],
 ) -> Vec<trajdp_model::Trajectory> {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let chunk = trajs.len().div_ceil(threads).max(1);
-    let mut out: Vec<Option<trajdp_model::Trajectory>> = vec![None; trajs.len()];
-    std::thread::scope(|s| {
-        for (slice_in, slice_out) in trajs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (t, slot) in slice_in.iter().zip(slice_out.iter_mut()) {
-                    *slot = Some(matcher.recover(t));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|t| t.expect("all slots filled")).collect()
+    map_chunks(threads, trajs, |_, chunk| {
+        chunk.iter().map(|t| matcher.recover(t)).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Times a closure, returning its output and the elapsed wall time.
@@ -261,6 +256,7 @@ mod tests {
         let w = standard_world(4, 30, 4);
         let matcher = HmmMapMatcher::new(&w.network);
         let par = recover_parallel(&matcher, &w.dataset.trajectories);
+        assert_eq!(par.len(), w.dataset.trajectories.len());
         for (t, p) in w.dataset.trajectories.iter().zip(&par) {
             let serial = matcher.recover(t);
             assert_eq!(&serial, p);

@@ -350,15 +350,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    // PANIC: `peek()` returned `Some`, so `pos` is in
-                    // bounds and the open range is valid.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    // PANIC: `peek()` saw a byte, so `rest` is non-empty.
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash at once. Both are ASCII, so they never
+                    // occur inside a multi-byte scalar and the run ends
+                    // on a char boundary. Validating only the run keeps
+                    // the parse linear in the input length.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    // PANIC: `start <= pos <= bytes.len()`, since `pos`
+                    // only moved past bytes `peek()` returned.
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| ParseError { message: "invalid UTF-8".into(), at: start })?;
+                    out.push_str(run);
                 }
             }
         }
@@ -454,6 +459,31 @@ mod tests {
         assert_eq!(parse(r#""A""#).unwrap(), Json::Str("A".into()));
         // Surrogate pair for 😀.
         assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A string member must parse in time linear in its length: an
+        // 8× longer string takes about 8× as long, where re-validating
+        // the rest of the input per character would take about 64×.
+        // Best of five keeps scheduler noise out of the ratio.
+        let best = |units: usize| {
+            let text = format!("\"{}\"", "abcdef\\n\u{e9}".repeat(units));
+            let parsed = parse(&text).unwrap();
+            assert_eq!(parsed.as_str().map(str::len), Some(units * 9));
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    parse(&text).unwrap();
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let short = best(2 << 10);
+        let long = best(16 << 10);
+        let ratio = long.as_secs_f64() / short.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "an 8x longer string took {ratio:.1}x as long to parse");
     }
 
     #[test]

@@ -305,6 +305,26 @@ pub fn validate_eps_split(split: f64) -> Result<f64, ApiError> {
     }
 }
 
+/// Validates a total privacy budget ε: must be finite and positive.
+pub fn validate_epsilon(epsilon: f64) -> Result<f64, ApiError> {
+    if epsilon.is_finite() && epsilon > 0.0 {
+        Ok(epsilon)
+    } else {
+        Err(ApiError::bad_request("epsilon must be positive"))
+    }
+}
+
+/// Validates a signature size `m`: must lie in `[1, MAX_M]`. Zero would
+/// trip the frequency analysis's own assertion, so it is rejected here
+/// as a request error instead.
+pub fn validate_m(m: u64) -> Result<usize, ApiError> {
+    if m == 0 || m > MAX_M {
+        Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")))
+    } else {
+        Ok(m as usize)
+    }
+}
+
 /// Validates a worker-thread count at the CLI/protocol boundary: must
 /// lie in `[1, MAX_WORKERS]`. A zero count used to be clamped silently
 /// deep inside the chunking helper; rejecting it here keeps the
@@ -511,21 +531,15 @@ fn parse_verb(v: &Json) -> Result<Request, ApiError> {
                 ],
             )?;
             let model = parse_model(get_str(v, "model")?)?;
-            let epsilon = get_f64(v, "epsilon", 1.0)?;
-            if epsilon <= 0.0 || !epsilon.is_finite() {
-                return Err(ApiError::bad_request("epsilon must be positive"));
-            }
+            let epsilon = validate_epsilon(get_f64(v, "epsilon", 1.0)?)?;
             let eps_split = validate_eps_split(get_f64(v, "eps_split", 0.5)?)?;
-            let m = get_u64(v, "m", 10)?;
-            if m == 0 || m > MAX_M {
-                return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
-            }
+            let m = validate_m(get_u64(v, "m", 10)?)?;
             let workers = validate_workers(get_u64(v, "workers", 1)?)?;
             let params = AnonymizeParams {
                 model,
                 epsilon,
                 eps_split,
-                m: m as usize,
+                m,
                 seed: get_u64(v, "seed", 42)?,
                 workers,
                 store_result: get_bool(v, "store", false)?,
@@ -661,17 +675,15 @@ pub fn spec_from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
     };
     let want = |msg: &str| ApiError::bad_request(msg);
     let model = parse_model(get_str(v, "model")?)?;
-    let epsilon = require("epsilon")?.as_f64().ok_or_else(|| want("epsilon must be a number"))?;
-    if epsilon <= 0.0 || !epsilon.is_finite() {
-        return Err(ApiError::bad_request("epsilon must be positive"));
-    }
+    let epsilon = validate_epsilon(
+        require("epsilon")?.as_f64().ok_or_else(|| want("epsilon must be a number"))?,
+    )?;
     let eps_split = validate_eps_split(
         require("eps_split")?.as_f64().ok_or_else(|| want("eps_split must be a number"))?,
     )?;
-    let m = require("m")?.as_u64().ok_or_else(|| want("m must be a non-negative integer"))?;
-    if m == 0 || m > MAX_M {
-        return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
-    }
+    let m = validate_m(
+        require("m")?.as_u64().ok_or_else(|| want("m must be a non-negative integer"))?,
+    )?;
     let workers = validate_workers(
         require("workers")?.as_u64().ok_or_else(|| want("workers must be an integer"))?,
     )?;
@@ -679,7 +691,7 @@ pub fn spec_from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
         model,
         epsilon,
         eps_split,
-        m: m as usize,
+        m,
         seed: require("seed")?
             .as_u64()
             .ok_or_else(|| want("seed must be a non-negative integer"))?,
@@ -1116,6 +1128,11 @@ mod tests {
         assert!(validate_eps_split(1.0).is_err());
         assert!(validate_eps_split(-0.1).is_err());
         assert!(validate_eps_split(f64::NAN).is_err());
+        // The total budget it splits: finite and strictly positive.
+        assert_eq!(validate_epsilon(1e-9), Ok(1e-9));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(validate_epsilon(bad).unwrap_err().message, "epsilon must be positive");
+        }
     }
 
     #[test]
@@ -1124,6 +1141,12 @@ mod tests {
         assert_eq!(validate_workers(MAX_WORKERS), Ok(MAX_WORKERS as usize));
         assert!(validate_workers(0).unwrap_err().message.contains("at least 1"));
         assert!(validate_workers(MAX_WORKERS + 1).unwrap_err().message.contains("exceed"));
+        // The signature size shares the shape: [1, MAX_M], zero refused.
+        assert_eq!(validate_m(1), Ok(1));
+        assert_eq!(validate_m(MAX_M), Ok(MAX_M as usize));
+        for bad in [0, MAX_M + 1] {
+            assert_eq!(validate_m(bad).unwrap_err().message, "m must lie in [1, 100000]");
+        }
         // Zero workers in a request must error, not clamp silently.
         assert!(parse_request(r#"{"cmd":"anonymize","model":"gl","workers":0,"csv":""}"#)
             .unwrap_err()

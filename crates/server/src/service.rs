@@ -732,25 +732,44 @@ mod tests {
     fn storm_of_clients_beyond_the_old_thread_cap_all_complete() {
         // The old design capped concurrency at max_connections threads
         // (default 32). The reactor serves far more concurrent sockets
-        // than that from one thread; every client must get an answer.
+        // than that from one thread: 128 clients all connect before any
+        // sends, then each holds its socket open for 8 round trips
+        // (health and metrics alternating). Every reply must be `ok`,
+        // and no client may drop.
+        const CLIENTS: usize = 128;
+        const ROUND_TRIPS: usize = 8;
         let server = Server::start(ServerConfig::default()).unwrap();
         let addr = server.local_addr();
-        let clients: Vec<_> = (0..64)
+        let connected = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
             .map(|_| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr)?;
-                    c.request_line(r#"{"cmd":"health"}"#)
-                        .map_err(|e| std::io::Error::other(e.message))
+                let connected = Arc::clone(&connected);
+                std::thread::spawn(move || -> Result<usize, String> {
+                    let client = Client::connect(addr);
+                    connected.wait();
+                    let mut client = client.map_err(|e| e.to_string())?;
+                    for i in 0..ROUND_TRIPS {
+                        let line =
+                            if i % 2 == 0 { r#"{"cmd":"health"}"# } else { r#"{"cmd":"metrics"}"# };
+                        let reply = client.request_line(line).map_err(|e| e.message)?;
+                        if reply.get("ok") != Some(&Json::Bool(true)) {
+                            return Err(format!("round trip {i}: {reply}"));
+                        }
+                    }
+                    Ok(ROUND_TRIPS)
                 })
             })
             .collect();
-        let mut ok = 0usize;
+        let mut completed = 0usize;
+        let mut dropped = Vec::new();
         for handle in clients {
-            let r = handle.join().expect("client thread panicked").expect("client failed");
-            assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-            ok += 1;
+            match handle.join().expect("client thread panicked") {
+                Ok(n) => completed += n,
+                Err(e) => dropped.push(e),
+            }
         }
-        assert_eq!(ok, 64);
+        assert!(dropped.is_empty(), "{} clients dropped: {dropped:?}", dropped.len());
+        assert_eq!(completed, CLIENTS * ROUND_TRIPS);
         server.shutdown();
     }
 

@@ -37,7 +37,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
-use traj_freq_dp::core::{anonymize, FreqDpConfig};
+use traj_freq_dp::core::FreqDpConfig;
 use traj_freq_dp::metrics::{
     diameter_divergence, frequent_pattern_f1, information_loss, mutual_information, trip_divergence,
 };
@@ -46,7 +46,7 @@ use traj_freq_dp::model::stats::DatasetStats;
 use traj_freq_dp::model::Dataset;
 use traj_freq_dp::server::api::{ApiError, ErrorCode};
 use traj_freq_dp::server::protocol::{
-    budget_split, parse_model, validate_eps_split, validate_workers,
+    budget_split, parse_model, validate_eps_split, validate_epsilon, validate_m, validate_workers,
 };
 use traj_freq_dp::server::{
     anonymize_parallel, init_logger, Client, LogLevel, Server, ServerConfig,
@@ -292,13 +292,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 &["model", "epsilon", "eps-split", "m", "seed", "parallel", "input", "out"],
             )?;
             let model = parse_model(required(&flags, "model")?).map_err(usage)?;
-            let epsilon = opt_parse(&flags, "epsilon", 1.0f64)?;
-            if epsilon <= 0.0 || !epsilon.is_finite() {
-                return Err(CliError::Usage("--epsilon must be positive".into()));
-            }
+            let epsilon = validate_epsilon(opt_parse(&flags, "epsilon", 1.0f64)?).map_err(usage)?;
             let eps_split =
                 validate_eps_split(opt_parse(&flags, "eps-split", 0.5f64)?).map_err(usage)?;
-            let m = opt_parse(&flags, "m", 10usize)?;
+            let m = validate_m(opt_parse(&flags, "m", 10u64)?).map_err(usage)?;
             let seed = opt_parse(&flags, "seed", 42u64)?;
             let parallel = validate_workers(opt_parse(&flags, "parallel", 1u64)?)
                 .map_err(|e| CliError::Usage(format!("--parallel: {e}")))?;
@@ -316,12 +313,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 workers: parallel,
                 ..Default::default()
             };
-            let result = if parallel > 1 {
-                anonymize_parallel(&ds, model, &cfg, parallel)
-                    .map_err(|e| CliError::Other(e.to_string()))?
-            } else {
-                anonymize(&ds, model, &cfg).map_err(|e| CliError::Other(e.to_string()))?
-            };
+            let result = anonymize_parallel(&ds, model, &cfg, parallel)
+                .map_err(|e| CliError::Other(e.to_string()))?;
             save(out, &result.dataset)?;
             eprintln!(
                 "wrote {out}: ε spent = {}, edits = {}, utility loss = {:.1} m",
@@ -1098,5 +1091,12 @@ mod tests {
         ]))
         .unwrap_err());
         assert!(err.contains("positive"));
+        // A zero signature size is a usage error (exit 2), not a panic
+        // inside the frequency analysis.
+        let err =
+            run(&a(&["anonymize", "--model", "gl", "--m", "0", "--input", "x", "--out", "y"]))
+                .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)));
+        assert!(msg(err).contains("m must lie in [1, 100000]"));
     }
 }
