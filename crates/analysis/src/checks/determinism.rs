@@ -5,15 +5,17 @@
 //! own RNG stream; tie-breaking is total). Two things silently break
 //! that promise:
 //!
-//! * iterating a default-hasher `HashMap`/`HashSet` — iteration order
-//!   varies across processes (SipHash keys are randomized), so any
-//!   order-sensitive consumer becomes run-dependent;
+//! * iterating a `HashMap`/`HashSet` — with the default hasher the
+//!   order varies across processes (SipHash keys are randomized); with
+//!   a fixed hasher (`trajdp_index::GridMap`/`GridSet`, or any
+//!   `BuildHasherDefault<…>`) it is stable per insertion history but
+//!   still differs between histories, e.g. between worker counts — so
+//!   any order-sensitive consumer becomes run-dependent;
 //! * wall-clock reads (`SystemTime::now`, `Instant::now`) feeding
 //!   values into results.
 //!
-//! The check tracks names *declared* with a `HashMap`/`HashSet` type
-//! (let annotations, struct fields, and `HashMap::new()`-style
-//! initializers) and flags order-yielding method calls and `for` loops
+//! The check tracks names *declared* with one of those types (let
+//! annotations, struct fields, and `HashMap::new()`-style initializers) and flags order-yielding method calls and `for` loops
 //! over them, plus any clock read. `#[cfg(test)]` items are exempt —
 //! tests may iterate freely. Legitimate sites (iterate-then-sort,
 //! observability timings that never touch released data) carry
@@ -39,7 +41,10 @@ const ORDER_METHODS: [&str; 10] = [
     "retain",
 ];
 
-const SET_TYPES: [&str; 2] = ["HashMap", "HashSet"];
+/// Hash-map/set type names: std's, the index's fixed-hasher aliases,
+/// and the hasher builder that marks any other alias at its
+/// construction site.
+const SET_TYPES: [&str; 5] = ["HashMap", "HashSet", "GridMap", "GridSet", "BuildHasherDefault"];
 
 /// Collects identifiers declared with a hash-map/set type anywhere in
 /// the file: `name: …HashMap<…>…` (fields, params, let annotations) and
@@ -50,7 +55,7 @@ fn tracked_names(code: &[&Tok]) -> BTreeSet<String> {
         if t.kind != TokKind::Ident {
             continue;
         }
-        // `name : <up to 16 tokens containing HashMap/HashSet>`
+        // `name : <up to 16 tokens containing a SET_TYPES name>`
         if code.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && !code.get(i + 2).is_some_and(|n| n.is_punct(':'))
         {
@@ -82,7 +87,7 @@ fn tracked_names(code: &[&Tok]) -> BTreeSet<String> {
                 tracked.insert(t.text.clone());
             }
         }
-        // `let [mut] name = <stmt containing HashMap/HashSet>`
+        // `let [mut] name = <stmt containing a SET_TYPES name>`
         if t.is_ident("let") {
             let mut j = i + 1;
             if code.get(j).is_some_and(|n| n.is_ident("mut")) {
@@ -162,7 +167,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
                 Check::Determinism,
                 code[i + 2].line,
                 format!(
-                    "`{}.{method}()` iterates a default-hasher map/set in nondeterministic order; \
+                    "`{}.{method}()` iterates a hash map/set in nondeterministic order; \
                      sort the result or use an ordered structure (or `// lint: allow(determinism): <why>`)",
                     t.text
                 ),
@@ -212,7 +217,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
                         Check::Determinism,
                         h.line,
                         format!(
-                            "`for … in {}` iterates a default-hasher map/set in nondeterministic order; \
+                            "`for … in {}` iterates a hash map/set in nondeterministic order; \
                              sort the keys first or use an ordered structure (or `// lint: allow(determinism): <why>`)",
                             h.text
                         ),
@@ -300,6 +305,17 @@ mod tests {
             "struct S { tf: HashMap<u64, usize> }\nfn f(s: &S) -> Vec<u64> {\n  // lint: allow(determinism): collected then sorted on the next line\n  let mut v: Vec<u64> = s.tf.keys().copied().collect();\n  v.sort_unstable(); v\n}",
         );
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn fixed_hasher_maps_are_tracked() {
+        let out = findings(
+            "struct G { nodes: GridMap<u64, u64> }\nimpl G { fn f(&self) { for (k, v) in &self.nodes {} } }\n\
+             fn g() { let mut m = FastMap::with_hasher(BuildHasherDefault::<Fx>::default()); m.insert(1, 2); for (k, v) in m.drain() {} }",
+        );
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0].message.contains("for … in nodes"));
+        assert!(out[1].message.contains("m.drain()"));
     }
 
     #[test]

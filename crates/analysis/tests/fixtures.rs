@@ -74,11 +74,13 @@ fn determinism_flags_every_seeded_site() {
     let sf = fixture("determinism/violations.rs");
     let mut out = Vec::new();
     determinism::check_source(&sf, &mut out);
-    assert_eq!(lines_of(&out), vec![10, 14, 23, 29], "{out:?}");
+    assert_eq!(lines_of(&out), vec![10, 14, 23, 29, 39, 45], "{out:?}");
     assert!(out[0].message.contains("candidate_tf.keys()"));
     assert!(out[1].message.contains("for … in candidate_tf"));
     assert!(out[2].message.contains("pf.drain()"));
     assert!(out[3].message.contains("Instant::now()"));
+    assert!(out[4].message.contains("nodes.keys()"));
+    assert!(out[5].message.contains("for … in by_cell"));
 }
 
 #[test]

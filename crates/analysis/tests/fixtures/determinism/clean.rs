@@ -17,6 +17,10 @@ impl Analysis {
         v
     }
 
+    fn fixed_hasher_lookups_are_fine(cells: &GridMap<CellId, usize>, c: CellId) -> usize {
+        cells.get(&c).copied().unwrap_or(0)
+    }
+
     fn vec_iteration(&self) -> usize {
         let mut n = 0;
         for _k in &self.order {

@@ -1,4 +1,4 @@
-// Fixture: nondeterminism on result-affecting paths — all four sites
+// Fixture: nondeterminism on result-affecting paths — all six sites
 // must be flagged.
 
 struct Analysis {
@@ -28,4 +28,21 @@ fn drains_untyped_map() {
 fn stamps_results() -> u64 {
     let t = std::time::Instant::now();
     t.elapsed().as_nanos() as u64
+}
+
+struct Grid {
+    nodes: GridMap<CellId, usize>,
+}
+
+impl Grid {
+    fn occupied(&self) -> Vec<CellId> {
+        self.nodes.keys().copied().collect()
+    }
+}
+
+fn walks_a_custom_hasher_map() {
+    let by_cell = FastMap::with_hasher(BuildHasherDefault::<GridHasher>::default());
+    for (k, v) in &by_cell {
+        emit(k, v);
+    }
 }

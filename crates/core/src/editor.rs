@@ -59,9 +59,7 @@ impl TrajectoryEditor {
     }
 
     fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+        id_counter(&mut self.next_id)()
     }
 
     /// Read access to the trajectory being edited.
@@ -125,16 +123,9 @@ impl TrajectoryEditor {
 
     /// Inserts `q` into segment `pos`, splitting the index entry.
     fn insert_at_segment(&mut self, q: Point, pos: usize) -> f64 {
-        let old_id = self.seg_ids[pos];
-        self.index.remove(old_id);
-        let loss = self.traj.insert_into_segment(q, pos);
         self.insertions += 1;
-        let left = self.fresh_id();
-        let right = self.fresh_id();
-        self.index.insert(SegmentEntry::new(left, self.traj.segment(pos)));
-        self.index.insert(SegmentEntry::new(right, self.traj.segment(pos + 1)));
-        self.seg_ids.splice(pos..=pos, [left, right]);
-        loss
+        let fresh_id = id_counter(&mut self.next_id);
+        split_segment(&mut self.traj, &mut self.seg_ids, &mut self.index, q, pos, fresh_id)
     }
 
     /// Deletes `delta` occurrences of `q`, each time removing the
@@ -158,31 +149,9 @@ impl TrajectoryEditor {
 
     /// Deletes the sample at `idx`, merging the index entries.
     fn delete_at(&mut self, idx: usize) -> f64 {
-        let len = self.traj.len();
-        debug_assert!(idx < len);
-        // Remove index entries of the segments touching the sample.
-        if idx > 0 {
-            self.index.remove(self.seg_ids[idx - 1]);
-        }
-        if idx + 1 < len {
-            self.index.remove(self.seg_ids[idx]);
-        }
-        let loss = self.traj.delete_at(idx);
         self.deletions += 1;
-        // Update seg_ids: the two touching segments collapse into one
-        // (interior) or zero (endpoint).
-        if idx > 0 && idx < len - 1 {
-            let merged = self.fresh_id();
-            self.index.insert(SegmentEntry::new(merged, self.traj.segment(idx - 1)));
-            self.seg_ids.splice(idx - 1..=idx, [merged]);
-        } else if idx == 0 {
-            if !self.seg_ids.is_empty() {
-                self.seg_ids.remove(0);
-            }
-        } else if !self.seg_ids.is_empty() {
-            self.seg_ids.pop();
-        }
-        loss
+        let fresh_id = id_counter(&mut self.next_id);
+        delete_sample(&mut self.traj, &mut self.seg_ids, &mut self.index, idx, fresh_id)
     }
 
     /// Re-registers all segments from position `from` (used after bulk
@@ -193,21 +162,103 @@ impl TrajectoryEditor {
         }
         self.seg_ids.truncate(from.min(self.seg_ids.len()));
         for i in from..self.traj.num_segments() {
-            let id = self.next_id;
-            self.next_id += 1;
+            let id = self.fresh_id();
             self.index.insert(SegmentEntry::new(id, self.traj.segment(i)));
             self.seg_ids.push(id);
         }
     }
 
     /// Internal invariant check used by tests: every segment of the
-    /// trajectory has exactly one index entry.
+    /// trajectory has exactly one index entry, holding its geometry.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         assert_eq!(self.seg_ids.len(), self.traj.num_segments(), "seg_ids length mismatch");
         assert_eq!(self.index.len(), self.seg_ids.len(), "index size mismatch");
         let distinct_ids: HashSet<u64> = self.seg_ids.iter().copied().collect();
         assert_eq!(distinct_ids.len(), self.seg_ids.len(), "duplicate segment ids");
+        check_indexed_geometry(&self.index, &self.traj, &self.seg_ids);
+    }
+}
+
+/// Hands out the ids `*next, *next + 1, …`.
+fn id_counter(next: &mut u64) -> impl FnMut() -> u64 + '_ {
+    move || {
+        *next += 1;
+        *next - 1
+    }
+}
+
+/// Hands out the next dense id of a [`DatasetEditor`], recording slot
+/// `t` as its owner.
+fn owned_id_counter(owner: &mut Vec<usize>, t: usize) -> impl FnMut() -> u64 + '_ {
+    move || {
+        owner.push(t);
+        (owner.len() - 1) as u64
+    }
+}
+
+/// Inserts `q` into segment `pos` of `traj` and replaces that segment's
+/// index entry with entries for its two halves, named by `fresh_id`.
+/// `seg_ids[i]` is the index id of segment `i`, before and after.
+/// Returns the insertion loss.
+fn split_segment(
+    traj: &mut Trajectory,
+    seg_ids: &mut Vec<u64>,
+    index: &mut AnyIndex,
+    q: Point,
+    pos: usize,
+    mut fresh_id: impl FnMut() -> u64,
+) -> f64 {
+    index.remove(seg_ids[pos]);
+    let loss = traj.insert_into_segment(q, pos);
+    let (left, right) = (fresh_id(), fresh_id());
+    index.insert(SegmentEntry::new(left, traj.segment(pos)));
+    index.insert(SegmentEntry::new(right, traj.segment(pos + 1)));
+    seg_ids.splice(pos..=pos, [left, right]);
+    loss
+}
+
+/// Deletes sample `idx` of `traj`, replacing the index entries of the
+/// (up to two) segments touching it with the merged segment, named by
+/// `fresh_id` — an endpoint sample just loses its one segment.
+/// `seg_ids[i]` is the index id of segment `i`, before and after.
+/// Returns the deletion loss.
+fn delete_sample(
+    traj: &mut Trajectory,
+    seg_ids: &mut Vec<u64>,
+    index: &mut AnyIndex,
+    idx: usize,
+    fresh_id: impl FnOnce() -> u64,
+) -> f64 {
+    let len = traj.len();
+    debug_assert!(idx < len);
+    if idx > 0 {
+        index.remove(seg_ids[idx - 1]);
+    }
+    if idx + 1 < len {
+        index.remove(seg_ids[idx]);
+    }
+    let loss = traj.delete_at(idx);
+    if idx > 0 && idx + 1 < len {
+        let merged = fresh_id();
+        index.insert(SegmentEntry::new(merged, traj.segment(idx - 1)));
+        seg_ids.splice(idx - 1..=idx, [merged]);
+    } else if idx == 0 {
+        if !seg_ids.is_empty() {
+            seg_ids.remove(0);
+        }
+    } else {
+        seg_ids.pop();
+    }
+    loss
+}
+
+/// Asserts that `seg_ids[i]` is indexed with the geometry of segment
+/// `i` of `traj`.
+fn check_indexed_geometry(index: &AnyIndex, traj: &Trajectory, seg_ids: &[u64]) {
+    for (i, &id) in seg_ids.iter().enumerate() {
+        let entry = index.get(id).unwrap_or_else(|| panic!("segment {i}: id {id} not indexed"));
+        assert_eq!(entry.seg, traj.segment(i), "segment {i}: indexed geometry is stale");
     }
 }
 
@@ -230,9 +281,15 @@ fn push_bounded(best: &mut BinaryHeap<(TotalF64, usize)>, delta: usize, entry: (
 #[derive(Debug)]
 pub struct DatasetEditor {
     trajs: Vec<Trajectory>,
+    /// `seg_ids[t][i]` is the index id of segment `i` of slot `t`.
     seg_ids: Vec<Vec<u64>>,
     index: AnyIndex,
-    owner: HashMap<u64, usize>,
+    /// `owner[id]` is the slot whose segment was indexed under `id`.
+    /// Ids are handed out densely (`id == owner.len()` at allocation)
+    /// and never reused, so the vector doubles as the id allocator and
+    /// the kNN filter reads it without hashing. Entries of removed ids
+    /// go stale but are never looked up: the index no longer holds them.
+    owner: Vec<usize>,
     /// Inverted occurrence map: point → trajectory slots containing it.
     containing: HashMap<PointKey, HashSet<usize>>,
     /// Cached per-trajectory bounding boxes for branch-and-bound
@@ -246,7 +303,6 @@ pub struct DatasetEditor {
     /// The scans are pure, so the selection — and therefore the edited
     /// dataset — is identical at every value; `1` scans serially.
     pub workers: usize,
-    next_id: u64,
     domain: Rect,
     kind: IndexKind,
     /// Accumulated utility loss of all edits.
@@ -264,16 +320,14 @@ impl DatasetEditor {
     pub fn new(trajs: Vec<Trajectory>, kind: IndexKind, domain: Rect) -> Self {
         let mut index = AnyIndex::new(kind, domain);
         let mut seg_ids = Vec::with_capacity(trajs.len());
-        let mut owner = HashMap::new();
+        let mut owner = Vec::new();
         let mut containing: HashMap<PointKey, HashSet<usize>> = HashMap::new();
-        let mut next_id = 0u64;
         for (t, traj) in trajs.iter().enumerate() {
             let mut ids = Vec::with_capacity(traj.num_segments());
             for (_, seg) in traj.segments() {
-                index.insert(SegmentEntry::new(next_id, seg));
-                owner.insert(next_id, t);
-                ids.push(next_id);
-                next_id += 1;
+                let id = owned_id_counter(&mut owner, t)();
+                index.insert(SegmentEntry::new(id, seg));
+                ids.push(id);
             }
             seg_ids.push(ids);
             for s in &traj.samples {
@@ -290,7 +344,6 @@ impl DatasetEditor {
             bboxes,
             use_bbox_pruning: false,
             workers: 1,
-            next_id,
             domain,
             kind,
             loss: 0.0,
@@ -298,12 +351,6 @@ impl DatasetEditor {
             insertions: 0,
             deletions: 0,
         }
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
     }
 
     /// Finishes editing, returning the modified trajectories.
@@ -337,30 +384,56 @@ impl DatasetEditor {
     /// the `delta` nearest trajectories that do not already pass through
     /// `q`. Returns the number of trajectories actually modified (may be
     /// fewer when the dataset runs out of eligible trajectories).
+    ///
+    /// Both search paths select by the same rule: among the non-empty
+    /// trajectories not holding `q`, the ∆l smallest `(insertion loss,
+    /// slot)` pairs, where the loss is the distance from `q` to the
+    /// nearest segment, or to the only sample of a single-sample
+    /// trajectory (which takes `q` appended). Empty trajectories have no
+    /// location to rank by: they only take what the non-empty ones
+    /// cannot, in slot order, so the TF can still reach `|D|`.
     pub fn increase_tf(&mut self, q: Point, delta: usize) -> usize {
         if delta == 0 {
             return 0;
         }
-        if self.use_bbox_pruning {
-            return self.increase_tf_bbox(q, delta);
-        }
-        let qk = q.key();
-        let eligible = |editor: &Self, t: usize| -> bool {
-            !editor.containing.get(&qk).is_some_and(|s| s.contains(&t))
+        let mut chosen = if self.use_bbox_pruning {
+            self.select_by_bbox(q, delta)
+        } else {
+            self.select_by_index(q, delta)
         };
+        let short = delta - chosen.len();
+        chosen.extend((0..self.trajs.len()).filter(|&t| self.trajs[t].is_empty()).take(short));
+        let inserted = chosen.len();
+        for t in chosen {
+            self.insert_point_into(t, q);
+        }
+        inserted
+    }
+
+    /// The non-empty part of the [`Self::increase_tf`] selection, by a
+    /// grow-k nearest-segment search over the dataset-wide index, in
+    /// ascending `(loss, slot)` order.
+    fn select_by_index(&mut self, q: Point, delta: usize) -> Vec<usize> {
+        let mut holds_q = vec![false; self.trajs.len()];
+        if let Some(slots) = self.containing.get(&q.key()) {
+            for &t in slots {
+                holds_q[t] = true;
+            }
+        }
+        // Single-sample trajectories have no segment in the index, so
+        // they are scored directly, next to the kNN hits.
+        let singles: Vec<(f64, usize)> = (0..self.trajs.len())
+            .filter(|&t| self.trajs[t].len() == 1 && !holds_q[t])
+            .map(|t| (self.trajs[t].samples[0].loc.dist(&q), t))
+            .collect();
         // Grow-k nearest-segment search: score each owning trajectory by
         // its nearest reported segment, then pick the ∆l best in
         // ascending `(distance, slot)` order — on equal distance the
         // smallest slot wins, the same tie rule as the bbox path.
-        let mut chosen: Vec<usize>;
         let mut k = delta.saturating_mul(4).max(8);
         loop {
-            let owner = &self.owner;
-            let containing = self.containing.get(&qk);
-            let filter = |id: u64| -> bool {
-                let t = owner[&id];
-                !containing.is_some_and(|s| s.contains(&t))
-            };
+            let (owner, holds_q) = (&self.owner, &holds_q);
+            let filter = |id: u64| !holds_q[owner[id as usize]];
             let (neighbors, stats) = self.index.knn_with_stats(&q, k, Some(&filter));
             self.accumulate(stats);
             let exhausted = neighbors.len() < k;
@@ -369,9 +442,9 @@ impl DatasetEditor {
             let frontier = neighbors.last().map_or(f64::INFINITY, |n| n.dist);
             // Neighbors arrive sorted by distance, so a trajectory's
             // first hit is its nearest reported segment.
-            let mut scored: Vec<(f64, usize)> = Vec::new();
+            let mut scored = singles.clone();
             for n in &neighbors {
-                let t = self.owner[&n.id];
+                let t = self.owner[n.id as usize];
                 if !scored.iter().any(|&(_, s)| s == t) {
                     scored.push((n.dist, t));
                 }
@@ -385,38 +458,22 @@ impl DatasetEditor {
             // in index-visit order, not slot order), so keep growing.
             let settled =
                 scored.len() == delta && scored.last().is_some_and(|&(d, _)| d < frontier);
-            chosen = scored.into_iter().map(|(_, t)| t).collect();
             if settled || exhausted {
-                break;
+                return scored.into_iter().map(|(_, t)| t).collect();
             }
             k *= 2;
         }
-        // Fallback: trajectories with no segments can still take an
-        // appended point.
-        if chosen.len() < delta {
-            for t in 0..self.trajs.len() {
-                if chosen.len() == delta {
-                    break;
-                }
-                if self.trajs[t].num_segments() == 0 && eligible(self, t) && !chosen.contains(&t) {
-                    chosen.push(t);
-                }
-            }
-        }
-        let inserted = chosen.len();
-        for t in chosen {
-            self.insert_point_into(t, q);
-        }
-        inserted
     }
 
-    /// TF-increasing task via trajectory-level branch-and-bound — the
-    /// optimization §V-C leaves as future work: candidates are visited
-    /// in ascending bounding-box `MINdist` order and the scan stops once
-    /// the next lower bound exceeds the ∆l-th best exact insertion loss.
+    /// The non-empty part of the [`Self::increase_tf`] selection, by
+    /// trajectory-level branch-and-bound — the optimization §V-C leaves
+    /// as future work: candidates are visited in ascending bounding-box
+    /// `MINdist` order and the scan stops once the next lower bound
+    /// exceeds the ∆l-th best exact insertion loss.
     /// Produces exactly the same selection as the index-based search:
-    /// the ∆l smallest `(insertion loss, slot)` pairs, so equal-loss
-    /// ties always go to the smallest slot.
+    /// the ∆l smallest `(insertion loss, slot)` pairs over non-empty
+    /// trajectories, a single-sample one scored by the distance to its
+    /// sample, so equal-loss ties always go to the smallest slot.
     ///
     /// With `workers > 1` the candidate list is cut into contiguous
     /// chunks scanned concurrently; each chunk keeps its own ∆l-bounded
@@ -430,7 +487,7 @@ impl DatasetEditor {
     /// candidate's exact-loss sweep runs twice. Only the work
     /// *counters* (`stats.segments_checked`) vary with the worker
     /// count.
-    fn increase_tf_bbox(&mut self, q: Point, delta: usize) -> usize {
+    fn select_by_bbox(&mut self, q: Point, delta: usize) -> Vec<usize> {
         let qk = q.key();
         let containing = self.containing.get(&qk);
         // Eligible trajectories in ascending lower-bound order.
@@ -481,11 +538,7 @@ impl DatasetEditor {
             Self::scan_insertion_chunk(&self.trajs, q, delta, &candidates, f64::INFINITY)
         };
         self.stats.segments_checked += checked;
-        let inserted = chosen.len();
-        for (_, t) in chosen {
-            self.insert_point_into(t, q);
-        }
-        inserted
+        chosen.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Branch-and-bound exact-loss scan over one chunk of `(lower bound,
@@ -529,15 +582,13 @@ impl DatasetEditor {
 
     /// Inserts `q` into trajectory slot `t` at its best segment.
     fn insert_point_into(&mut self, t: usize, q: Point) {
-        let traj = &self.trajs[t];
+        let mut fresh_id = owned_id_counter(&mut self.owner, t);
+        let traj = &mut self.trajs[t];
         if traj.len() < 2 {
-            self.loss += self.trajs[t].push_point(q);
-            self.insertions += 1;
-            if self.trajs[t].len() >= 2 {
-                let pos = self.trajs[t].num_segments() - 1;
-                let id = self.fresh_id();
-                self.index.insert(SegmentEntry::new(id, self.trajs[t].segment(pos)));
-                self.owner.insert(id, t);
+            self.loss += traj.push_point(q);
+            if traj.len() == 2 {
+                let id = fresh_id();
+                self.index.insert(SegmentEntry::new(id, traj.segment(0)));
                 self.seg_ids[t].push(id);
             }
         } else {
@@ -548,19 +599,10 @@ impl DatasetEditor {
                     traj.segment(a).dist_to_point(&q).total_cmp(&traj.segment(b).dist_to_point(&q))
                 })
                 .expect("non-empty segment list");
-            let old_id = self.seg_ids[t][pos];
-            self.index.remove(old_id);
-            self.owner.remove(&old_id);
-            self.loss += self.trajs[t].insert_into_segment(q, pos);
-            self.insertions += 1;
-            let left = self.fresh_id();
-            let right = self.fresh_id();
-            self.index.insert(SegmentEntry::new(left, self.trajs[t].segment(pos)));
-            self.index.insert(SegmentEntry::new(right, self.trajs[t].segment(pos + 1)));
-            self.owner.insert(left, t);
-            self.owner.insert(right, t);
-            self.seg_ids[t].splice(pos..=pos, [left, right]);
+            self.loss +=
+                split_segment(traj, &mut self.seg_ids[t], &mut self.index, q, pos, fresh_id);
         }
+        self.insertions += 1;
         self.containing.entry(q.key()).or_default().insert(t);
         self.bboxes[t].expand(&q);
     }
@@ -616,25 +658,25 @@ impl DatasetEditor {
         }
     }
 
-    /// Removes every occurrence of `q` from slot `t`, re-registering the
-    /// trajectory's segments.
+    /// Removes every occurrence of `q` from slot `t`, one at a time in
+    /// the order of [`Trajectory::delete_all`] (first remaining
+    /// occurrence first) and with its loss summation, so the edit and
+    /// its loss are bit-identical to that call. Each deletion touches
+    /// only the index entries of the segments around the deleted
+    /// sample, so the index work follows the occurrences of `q`, not
+    /// the length of the trajectory.
     fn delete_point_from(&mut self, t: usize, q: PointKey) {
-        for &id in &self.seg_ids[t] {
-            self.index.remove(id);
-            self.owner.remove(&id);
+        let mut fresh_id = owned_id_counter(&mut self.owner, t);
+        let traj = &mut self.trajs[t];
+        let mut total = 0.0;
+        let mut from = 0;
+        while let Some(offset) = traj.samples[from..].iter().position(|s| s.loc.key() == q) {
+            from += offset;
+            total +=
+                delete_sample(traj, &mut self.seg_ids[t], &mut self.index, from, &mut fresh_id);
+            self.deletions += 1;
         }
-        self.seg_ids[t].clear();
-        let occurrences = self.trajs[t].occurrences(q).len();
-        self.loss += self.trajs[t].delete_all(q);
-        self.deletions += occurrences;
-        let mut ids = Vec::with_capacity(self.trajs[t].num_segments());
-        for i in 0..self.trajs[t].num_segments() {
-            let id = self.fresh_id();
-            self.index.insert(SegmentEntry::new(id, self.trajs[t].segment(i)));
-            self.owner.insert(id, t);
-            ids.push(id);
-        }
-        self.seg_ids[t] = ids;
+        self.loss += total;
         if let Some(s) = self.containing.get_mut(&q) {
             s.remove(&t);
             if s.is_empty() {
@@ -660,15 +702,18 @@ impl DatasetEditor {
         self.kind
     }
 
-    /// Internal invariant check used by tests.
+    /// Internal invariant check used by tests: every segment of every
+    /// slot has exactly one index entry, holding its geometry and owned
+    /// by its slot, and the occurrence map lists no stale slot.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut total = 0;
         for (t, ids) in self.seg_ids.iter().enumerate() {
             assert_eq!(ids.len(), self.trajs[t].num_segments(), "slot {t} seg count");
             for &id in ids {
-                assert_eq!(self.owner[&id], t, "owner mismatch for id {id}");
+                assert_eq!(self.owner[id as usize], t, "owner mismatch for id {id}");
             }
+            check_indexed_geometry(&self.index, &self.trajs[t], ids);
             total += ids.len();
         }
         assert_eq!(self.index.len(), total, "index size mismatch");
@@ -1022,6 +1067,123 @@ mod tests {
                 pruned.trajectories().iter().map(|t| t.passes_through(q.key())).collect();
             assert_eq!(a, b, "delta={delta}: selections diverge on ties");
             assert!((plain.loss - pruned.loss).abs() < 1e-9, "delta={delta}");
+        }
+    }
+
+    #[test]
+    fn knn_path_scores_single_sample_trajectories() {
+        // Slot 1 is one sample 1 m from q; slot 0's segment lies 100 m
+        // away. Appending to slot 1 is the cheaper insertion on both
+        // paths (the kNN path used to reach single-sample slots only
+        // through a slot-order fallback).
+        let trajs = vec![traj(0, &[(0.0, 100.0), (200.0, 100.0)]), traj(1, &[(50.0, 1.0)])];
+        let q = Point::new(50.0, 0.0);
+        for bbox in [false, true] {
+            let mut ed = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
+            ed.use_bbox_pruning = bbox;
+            assert_eq!(ed.increase_tf(q, 1), 1);
+            ed.check_invariants();
+            assert!(ed.trajectories()[1].passes_through(q.key()), "bbox={bbox}");
+            assert_eq!(ed.loss, 1.0, "bbox={bbox}");
+        }
+    }
+
+    #[test]
+    fn bbox_vs_index_parity_with_single_sample_and_empty_slots() {
+        // Segments, single samples (two at the same distance as a
+        // segment, to tie across kinds) and empty slots interleaved.
+        let trajs = vec![
+            traj(0, &[(0.0, 20.0), (100.0, 20.0)]),
+            traj(1, &[(50.0, 20.0)]),
+            traj(2, &[]),
+            traj(3, &[(50.0, 5.0)]),
+            traj(4, &[(0.0, 5.0), (100.0, 5.0), (100.0, 300.0)]),
+            traj(5, &[]),
+            traj(6, &[(400.0, 400.0)]),
+            traj(7, &[(0.0, -60.0), (100.0, -60.0)]),
+            traj(8, &[(50.0, 0.0)]), // already holds q
+        ];
+        let q = Point::new(50.0, 0.0);
+        let ranked = 6; // every slot but the two empty ones and slot 8
+        for delta in 1..=trajs.len() {
+            let mut plain = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
+            let mut pruned = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
+            pruned.use_bbox_pruning = true;
+            let n = plain.increase_tf(q, delta);
+            assert_eq!(n, delta.min(ranked + 2), "delta={delta}");
+            assert_eq!(pruned.increase_tf(q, delta), n, "delta={delta}");
+            plain.check_invariants();
+            pruned.check_invariants();
+            assert_eq!(plain.trajectories(), pruned.trajectories(), "delta={delta}");
+            assert_eq!(plain.loss, pruned.loss, "delta={delta}");
+            // Empty slots take only what the ranked ones cannot, in
+            // slot order.
+            let filled = [2, 5].map(|t| !plain.trajectories()[t].is_empty());
+            assert_eq!(filled, [delta > ranked, delta > ranked + 1], "delta={delta}");
+        }
+        // delta = 2: slot 3 (5 m, single sample) and slot 4 (5 m,
+        // segment) tie; the tie goes by slot, ahead of slots 0 and 1.
+        let mut ed = DatasetEditor::new(trajs, IndexKind::default(), domain());
+        ed.increase_tf(q, 2);
+        let chosen: Vec<usize> =
+            (0..9).filter(|&t| ed.trajectories()[t].passes_through(q.key())).collect();
+        assert_eq!(chosen, vec![3, 4, 8]);
+    }
+
+    /// kNN distances over a grid of queries, for comparing two indexes.
+    fn knn_profile(ed: &DatasetEditor) -> Vec<Vec<f64>> {
+        let mut out = Vec::new();
+        for x in (-50..=1050).step_by(100) {
+            for y in (-50..=1050).step_by(100) {
+                let p = Point::new(f64::from(x), f64::from(y));
+                let (hits, _) = ed.index.knn_with_stats(&p, 6, None);
+                out.push(hits.iter().map(|n| n.dist).collect());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn incremental_decrease_matches_a_rebuilt_index() {
+        use trajdp_index::Strategy;
+        let q = (50.0, 50.0);
+        let trajs = vec![
+            // Adjacent duplicates in the interior.
+            traj(0, &[(0.0, 0.0), q, q, (100.0, 0.0), (200.0, 10.0)]),
+            // q first and last.
+            traj(1, &[q, (300.0, 300.0), (400.0, 300.0), q]),
+            // Shrinks to one sample.
+            traj(2, &[q, (600.0, 600.0), q, q]),
+            // Shrinks to nothing.
+            traj(3, &[q, q]),
+            // q in the middle of a long detour.
+            traj(4, &[(900.0, 900.0), (800.0, 900.0), q, (700.0, 900.0), q, (600.0, 900.0)]),
+            // Never holds q.
+            traj(5, &[(10.0, 500.0), (500.0, 10.0)]),
+        ];
+        let qk = Point::new(q.0, q.1).key();
+        for kind in [
+            IndexKind::Linear,
+            IndexKind::Uniform(32),
+            IndexKind::Hier(64, Strategy::TopDown),
+            IndexKind::default(),
+        ] {
+            let mut ed = DatasetEditor::new(trajs.clone(), kind, domain());
+            let mut expected: Vec<Trajectory> = trajs.clone();
+            let mut expected_loss = 0.0;
+            while ed.tf(qk) > 0 {
+                let victim = ed.decrease_victims(qk, 1, 1)[0];
+                expected_loss += expected[victim].delete_all(qk);
+                assert_eq!(ed.decrease_tf(qk, 1), 1);
+                ed.check_invariants();
+                assert_eq!(ed.trajectories(), &expected[..], "{kind:?}");
+                assert_eq!(ed.loss, expected_loss, "{kind:?}");
+                let rebuilt = DatasetEditor::new(expected.clone(), kind, domain());
+                assert_eq!(knn_profile(&ed), knn_profile(&rebuilt), "{kind:?}");
+            }
+            assert_eq!(ed.trajectories()[2].len(), 1, "{kind:?}");
+            assert!(ed.trajectories()[3].is_empty(), "{kind:?}");
+            assert_eq!(ed.deletions, 11, "{kind:?}");
         }
     }
 

@@ -65,6 +65,16 @@ impl AnyIndex {
         }
     }
 
+    /// The entry stored under payload `id`; used by invariant checks.
+    #[doc(hidden)]
+    pub fn get(&self, id: u64) -> Option<SegmentEntry> {
+        match self {
+            AnyIndex::Linear(i) => i.get(id),
+            AnyIndex::Uniform(i) => i.get(id),
+            AnyIndex::Hier(i, _) => i.get(id),
+        }
+    }
+
     /// K-nearest segments with work counters.
     pub fn knn_with_stats(
         &self,
@@ -151,8 +161,10 @@ mod tests {
             for e in entries() {
                 idx.insert(e);
             }
+            assert_eq!(idx.get(7), Some(entries()[7]), "{kind:?}");
             assert!(idx.remove(7));
             assert!(!idx.remove(7));
+            assert_eq!(idx.get(7), None, "{kind:?}");
             assert_eq!(idx.len(), 19);
             let (res, _) = idx.knn_with_stats(&Point::new(7.0 * 40.0 + 5.0, 0.0), 1, None);
             assert_ne!(res[0].id, 7, "{kind:?} returned a removed segment");

@@ -71,7 +71,7 @@ impl Ord for TotalF64 {
 pub(crate) struct TopK {
     k: usize,
     heap: std::collections::BinaryHeap<(TotalF64, u64)>,
-    segs: std::collections::HashMap<u64, Segment>,
+    segs: crate::hash::GridMap<u64, Segment>,
 }
 
 impl TopK {
@@ -79,7 +79,7 @@ impl TopK {
         Self {
             k,
             heap: std::collections::BinaryHeap::with_capacity(k + 1),
-            segs: std::collections::HashMap::with_capacity(k + 1),
+            segs: crate::hash::GridMap::with_capacity_and_hasher(k + 1, Default::default()),
         }
     }
 

@@ -20,9 +20,10 @@
 //!   root is reached, which then permits early termination.
 
 use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK, TotalF64};
+use crate::hash::{GridMap, GridSet};
 use crate::SegmentIndex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use trajdp_model::{CellId, GridLevel, Point, Rect};
 
 /// Which traversal order a KNN search uses. All strategies return the
@@ -75,8 +76,8 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct HierGrid {
     levels: Vec<GridLevel>,
-    nodes: HashMap<CellId, Node>,
-    locations: HashMap<u64, CellId>,
+    nodes: GridMap<CellId, Node>,
+    locations: GridMap<u64, CellId>,
     len: usize,
 }
 
@@ -88,7 +89,7 @@ impl HierGrid {
         assert!(finest.is_power_of_two(), "finest granularity must be a power of two");
         let num_levels = finest.trailing_zeros() as usize + 1;
         let levels = (0..num_levels).map(|l| GridLevel::new(domain, 1 << l, l as u8)).collect();
-        Self { levels, nodes: HashMap::new(), locations: HashMap::new(), len: 0 }
+        Self { levels, nodes: GridMap::default(), locations: GridMap::default(), len: 0 }
     }
 
     /// Builds the index from entries.
@@ -196,6 +197,12 @@ impl HierGrid {
         true
     }
 
+    /// The entry stored under payload `id`, if any.
+    pub fn get(&self, id: u64) -> Option<SegmentEntry> {
+        let cell = self.locations.get(&id)?;
+        self.nodes[cell].entries.iter().find(|e| e.id == id).copied()
+    }
+
     /// The deepest materialized cell whose region contains `q` — the
     /// starting point of the bottom-up strategies (Algorithm 3, line 1).
     fn deepest_occupied(&self, q: &Point) -> Option<CellId> {
@@ -300,7 +307,7 @@ impl HierGrid {
         }
         let mut stack: Vec<(CellId, f64)> = vec![(start, 0.0)];
         let mut queue: BinaryHeap<Reverse<(TotalF64, CellId)>> = BinaryHeap::new();
-        let mut visited: HashSet<CellId> = HashSet::new();
+        let mut visited: GridSet<CellId> = GridSet::default();
         let mut root_access = false;
 
         while !stack.is_empty() || !queue.is_empty() {

@@ -18,15 +18,25 @@
 //! All searches return exact K-nearest results; the strategies differ
 //! only in pruning power, which [`SearchStats`] exposes for the
 //! efficiency experiments.
+//!
+//! The grid maps hash through [`GridHasher`], a fixed multiplicative
+//! hasher for their small integer keys (cell coordinates and dense
+//! segment ids), rather than std's randomly keyed SipHash: each insert
+//! or remove walks ~10 ancestor cells, so hashing dominated index
+//! upkeep. No client picks these keys, so SipHash's flooding resistance
+//! buys nothing, and a fixed hasher keeps every run's probe sequence
+//! the same instead of varying it per process.
 
 #![forbid(unsafe_code)]
 
 pub mod entry;
+pub mod hash;
 pub mod hier;
 pub mod linear;
 pub mod uniform;
 
 pub use entry::{Neighbor, SearchStats, SegmentEntry, TotalF64};
+pub use hash::{GridHasher, GridMap, GridSet};
 pub use hier::{HierGrid, Strategy};
 pub use linear::LinearScan;
 pub use uniform::UniformGrid;

@@ -40,6 +40,11 @@ impl LinearScan {
         }
     }
 
+    /// The entry stored under payload `id`, if any.
+    pub fn get(&self, id: u64) -> Option<SegmentEntry> {
+        self.entries.iter().find(|e| e.id == id).copied()
+    }
+
     /// KNN with work counters (every segment is always checked).
     pub fn knn_with_stats(
         &self,

@@ -6,17 +6,17 @@
 //! K-th best distance.
 
 use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK};
+use crate::hash::{GridMap, GridSet};
 use crate::SegmentIndex;
-use std::collections::{HashMap, HashSet};
 use trajdp_model::{GridLevel, Point, Rect};
 
 /// A uniform grid over the dataset domain.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     grid: GridLevel,
-    cells: HashMap<(u32, u32), Vec<SegmentEntry>>,
+    cells: GridMap<(u32, u32), Vec<SegmentEntry>>,
     /// Reverse map for O(cells-per-segment) removal.
-    locations: HashMap<u64, Vec<(u32, u32)>>,
+    locations: GridMap<u64, Vec<(u32, u32)>>,
     len: usize,
 }
 
@@ -26,8 +26,8 @@ impl UniformGrid {
     pub fn new(domain: Rect, granularity: u32) -> Self {
         Self {
             grid: GridLevel::new(domain, granularity, 0),
-            cells: HashMap::new(),
-            locations: HashMap::new(),
+            cells: GridMap::default(),
+            locations: GridMap::default(),
             len: 0,
         }
     }
@@ -143,6 +143,12 @@ impl UniformGrid {
         true
     }
 
+    /// The entry stored under payload `id`, if any.
+    pub fn get(&self, id: u64) -> Option<SegmentEntry> {
+        let cell = self.locations.get(&id)?.first()?;
+        self.cells[cell].iter().find(|e| e.id == id).copied()
+    }
+
     /// KNN with work counters.
     pub fn knn_with_stats(
         &self,
@@ -159,7 +165,7 @@ impl UniformGrid {
         let cell_min = self.grid.cell_width().min(self.grid.cell_height());
         let g = self.grid.granularity as i64;
         let max_ring = g; // enough to cover the whole grid from any origin
-        let mut seen: HashSet<u64> = HashSet::new();
+        let mut seen: GridSet<u64> = GridSet::default();
         for ring in 0..=max_ring {
             // Cheap lower bound on the distance from q to any ring-`ring`
             // cell: q may sit at its cell's edge, hence the −1.
@@ -268,7 +274,7 @@ mod tests {
         assert_eq!(r3.len(), 24);
         assert!(r3.iter().all(|&(a, b)| a.abs().max(b.abs()) == 3));
         // No duplicates.
-        let set: HashSet<_> = r3.iter().collect();
+        let set: std::collections::HashSet<_> = r3.iter().collect();
         assert_eq!(set.len(), 24);
     }
 

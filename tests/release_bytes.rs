@@ -1,0 +1,77 @@
+//! Pins the released bytes of a fixed set of runs, so that no change to
+//! a hot path (index, editors, executor) can alter what a seed
+//! publishes without failing here. Each case records the FNV-1a-64 hash
+//! of the release CSV, the total edit count and the bits of the total
+//! utility loss; a deliberate output change must update the table and
+//! say why.
+
+use traj_freq_dp::core::{FreqDpConfig, Model};
+use traj_freq_dp::model::csv::to_csv;
+use traj_freq_dp::server::anonymize_parallel;
+use traj_freq_dp::synth::{generate, GeneratorConfig};
+
+/// 64-bit FNV-1a, written out so the pin depends on no hasher library.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// `(world seed, model, workers, CSV hash, total edits, utility-loss bits)`
+/// for a 40-taxi, 120-point world under the default configuration.
+const PINNED: [(u64, Model, usize, u64, usize, u64); 18] = [
+    (1, Model::PureGlobal, 1, 0xcfe2_e91f_2c36_6fc3, 705, 0x40fc_2a10_66f1_d403),
+    (1, Model::PureGlobal, 2, 0xcfe2_e91f_2c36_6fc3, 705, 0x40fc_2a10_66f1_d403),
+    (1, Model::PureLocal, 1, 0x86eb_65a2_e82b_0756, 3033, 0x4124_1e9c_6a44_0ff3),
+    (1, Model::PureLocal, 2, 0x86eb_65a2_e82b_0756, 3033, 0x4124_1e9c_6a44_0ff3),
+    (1, Model::Combined, 1, 0x9738_978c_bc88_02b3, 3217, 0x4125_c805_d76a_37dc),
+    (1, Model::Combined, 2, 0x9738_978c_bc88_02b3, 3217, 0x4125_c805_d76a_37dc),
+    (2, Model::PureGlobal, 1, 0x79d7_7457_6b14_d757, 653, 0x40f9_8599_551c_f37b),
+    (2, Model::PureGlobal, 2, 0x79d7_7457_6b14_d757, 653, 0x40f9_8599_551c_f37b),
+    (2, Model::PureLocal, 1, 0x52a3_2fab_34f4_90b5, 2851, 0x4123_1867_d7f3_802a),
+    (2, Model::PureLocal, 2, 0x52a3_2fab_34f4_90b5, 2851, 0x4123_1867_d7f3_802a),
+    (2, Model::Combined, 1, 0x68f2_f6d0_343e_9fa7, 3077, 0x4124_e528_8388_54e9),
+    (2, Model::Combined, 2, 0x68f2_f6d0_343e_9fa7, 3077, 0x4124_e528_8388_54e9),
+    (3, Model::PureGlobal, 1, 0x2380_845e_fae1_72e4, 736, 0x40fd_e840_16fc_b8f1),
+    (3, Model::PureGlobal, 2, 0x2380_845e_fae1_72e4, 736, 0x40fd_e840_16fc_b8f1),
+    (3, Model::PureLocal, 1, 0x12c8_fc35_a732_fe61, 2769, 0x4122_89a3_8714_33e1),
+    (3, Model::PureLocal, 2, 0x12c8_fc35_a732_fe61, 2769, 0x4122_89a3_8714_33e1),
+    (3, Model::Combined, 1, 0xb9a1_7883_7388_6e90, 2955, 0x4121_f6cd_a435_ab4d),
+    (3, Model::Combined, 2, 0xb9a1_7883_7388_6e90, 2955, 0x4121_f6cd_a435_ab4d),
+];
+
+#[test]
+fn release_bytes_match_the_pinned_values() {
+    let mut mismatches = Vec::new();
+    for seed in 1..=3u64 {
+        let world = generate(&GeneratorConfig::tdrive_profile(40, 120, seed));
+        for &(_, model, workers, hash, edits, loss_bits) in
+            PINNED.iter().filter(|case| case.0 == seed)
+        {
+            let cfg = FreqDpConfig { workers, ..Default::default() };
+            let out = anonymize_parallel(&world.dataset, model, &cfg, workers).unwrap();
+            let got = (
+                fnv1a64(to_csv(&out.dataset).as_bytes()),
+                out.total_edits(),
+                out.utility_loss().to_bits(),
+            );
+            if got != (hash, edits, loss_bits) {
+                mismatches.push(format!(
+                    "seed {seed} {model:?} workers {workers}: got (0x{:016x}, {}, 0x{:016x})",
+                    got.0, got.1, got.2
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "release bytes changed:\n{}", mismatches.join("\n"));
+}
+
+#[test]
+fn fnv1a64_matches_reference_vectors() {
+    assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+}
