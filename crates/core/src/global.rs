@@ -11,15 +11,14 @@ use crate::editor::DatasetEditor;
 use crate::freq::FrequencyAnalysis;
 use crate::indexkind::IndexKind;
 use crate::stream::{stream_rng, PHASE_GLOBAL};
-use rand::Rng;
 use std::collections::HashMap;
 use trajdp_index::SearchStats;
 use trajdp_mech::{round_to_range, LaplaceMechanism, MechError};
 use trajdp_model::{Dataset, PointKey};
 
 /// Wall-clock breakdown of one [`realize_tf`] run. Pure observability:
-/// the timings never feed back into the computation, so determinism and
-/// worker-count invariance of the edits are untouched.
+/// the timings never feed back into the computation, so the edits stay
+/// deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Editor construction plus edit-step planning.
@@ -44,32 +43,13 @@ pub struct GlobalReport {
     pub insertions: usize,
     /// Point deletions performed.
     pub deletions: usize,
-    /// Accumulated K-nearest-search work. Unlike every other field,
-    /// this one is *not* worker-count invariant: chunked parallel scans
-    /// prune differently than the serial heap, so the counters reflect
-    /// the work actually done, not a canonical amount.
+    /// Accumulated K-nearest-search work. The modification phase runs
+    /// on one thread, so the counters are a pure function of the input,
+    /// the same at every worker count.
     pub search_stats: SearchStats,
-    /// Wall-clock per modification stage (also not invariant — it
-    /// measures this run's real elapsed time).
+    /// Wall-clock per modification stage (the one field that differs
+    /// between runs — it measures this run's real elapsed time).
     pub timings: StageTimings,
-}
-
-/// Draws the perturbed TF distribution `L*` (Algorithm 1, lines 1–6)
-/// without modifying any trajectory.
-pub fn perturb_tf<R: Rng + ?Sized>(
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<HashMap<PointKey, u64>, MechError> {
-    let mech = LaplaceMechanism::new(epsilon, 1.0)?;
-    let n = analysis.dataset_size as u64;
-    let mut out = HashMap::with_capacity(analysis.candidate_tf.len());
-    for p in analysis.candidate_points() {
-        let l = analysis.candidate_tf[&p] as f64;
-        let noisy = mech.randomize(l, rng);
-        out.insert(p, round_to_range(noisy, 0, n));
-    }
-    Ok(out)
 }
 
 /// Perturbs the TF of one contiguous shard of the sorted candidate set
@@ -98,8 +78,9 @@ pub fn perturb_tf_shard(
     Ok(out)
 }
 
-/// Draws the full perturbed TF distribution with per-point streams —
-/// the single-shard case of [`perturb_tf_shard`].
+/// Draws the perturbed TF distribution `L*` (Algorithm 1, lines 1–6)
+/// with per-point streams, without modifying any trajectory — the
+/// single-shard case of [`perturb_tf_shard`].
 pub fn perturb_tf_streamed(
     analysis: &FrequencyAnalysis,
     epsilon: f64,
@@ -120,34 +101,26 @@ enum EditStep {
 /// Inter-trajectory modification (`GlobalEdit`, Algorithm 1 line 7):
 /// deterministically edits the dataset until it realizes `perturbed`.
 ///
-/// This phase draws no randomness — given the perturbed targets it is a
-/// pure function of the dataset, so it runs the same whether the targets
-/// came from the serial or the sharded perturbation path, and it
-/// parallelizes deterministically over `workers` threads: the exact-loss
-/// candidate scans inside each edit are chunked (see
-/// [`DatasetEditor`]), and consecutive TF decreases whose containing
-/// trajectory sets are pairwise disjoint — whose edits provably cannot
-/// interact — are scanned concurrently against a shared snapshot before
-/// their deletions apply in candidate order. Any overlap falls back to
-/// serial processing, so the output dataset, edit counts, and utility
-/// loss are **byte-identical** to `workers == 1` at every worker count.
-/// The one exception is [`GlobalReport::search_stats`]: the work
-/// counters measure how much pruning each scan achieved, which
-/// legitimately differs between the serial heap and the chunked scans.
+/// The returned dataset realizes the perturbed TF for every candidate
+/// point, up to saturation (a TF cannot exceed `|D|` or drop below the
+/// available occurrences). This phase draws no randomness, and its
+/// edits form a chain — each selection reads the trajectories the
+/// previous edits wrote — so it runs on the calling thread and its
+/// whole report except [`GlobalReport::timings`] is a pure function of
+/// the inputs. `_workers` is ignored; it is kept so existing callers
+/// compile.
 pub fn realize_tf(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
     perturbed: &HashMap<PointKey, u64>,
     kind: IndexKind,
     bbox_pruning: bool,
-    workers: usize,
+    _workers: usize,
 ) -> (Dataset, GlobalReport) {
-    let workers = workers.max(1);
     // lint: allow(determinism): wall-clock feeds the timing report only; no edit decision reads it
     let realize_started = std::time::Instant::now();
     let mut editor = DatasetEditor::new(ds.trajectories.clone(), kind, ds.domain);
     editor.use_bbox_pruning = bbox_pruning;
-    editor.workers = workers;
     let mut tf_changes = HashMap::with_capacity(perturbed.len());
     // Plan every edit up front. An edit touches only occurrences of its
     // own point, so it never changes another candidate's TF and the
@@ -171,59 +144,16 @@ pub fn realize_tf(
     let build = realize_started.elapsed();
     let mut increase_time = std::time::Duration::ZERO;
     let mut decrease_time = std::time::Duration::ZERO;
-    let mut i = 0;
-    while i < steps.len() {
+    for step in steps {
         // lint: allow(determinism): wall-clock feeds the timing report only; no edit decision reads it
         let step_started = std::time::Instant::now();
-        match steps[i] {
+        match step {
             EditStep::Increase(p, delta) => {
-                // An insertion search may read any trajectory, so
-                // increases never batch with neighbouring edits.
                 editor.increase_tf(p.to_point(), delta);
-                i += 1;
                 increase_time += step_started.elapsed();
             }
-            EditStep::Decrease(..) => {
-                // Batch the maximal run of decreases with pairwise
-                // disjoint containing sets: each one scans (and deletes
-                // from) only trajectories containing its point, so
-                // disjointness proves the scans see the same state as
-                // under serial execution. A conflicting decrease closes
-                // the batch and starts the next — the serial fallback.
-                let mut batch: Vec<(PointKey, usize)> = Vec::new();
-                let mut touched: std::collections::HashSet<usize> =
-                    std::collections::HashSet::new();
-                while let Some(&EditStep::Decrease(p, delta)) = steps.get(i) {
-                    let containing = editor.trajectories_containing(p);
-                    if !batch.is_empty() && containing.iter().any(|t| touched.contains(t)) {
-                        break;
-                    }
-                    touched.extend(containing);
-                    batch.push((p, delta));
-                    i += 1;
-                }
-                if workers == 1 || batch.len() == 1 {
-                    for (p, delta) in batch {
-                        editor.decrease_tf(p, delta);
-                    }
-                } else {
-                    // Scan all batch members concurrently against the
-                    // shared snapshot, then apply in candidate order.
-                    let snapshot = &editor;
-                    let victims: Vec<Vec<usize>> =
-                        crate::pool::map_chunks(workers, &batch, |_, chunk| {
-                            chunk
-                                .iter()
-                                .map(|&(p, delta)| snapshot.decrease_victims(p, delta, 1))
-                                .collect::<Vec<_>>()
-                        })
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                    for ((p, _), v) in batch.iter().zip(&victims) {
-                        editor.apply_decrease(*p, v);
-                    }
-                }
+            EditStep::Decrease(p, delta) => {
+                editor.decrease_tf(p, delta);
                 decrease_time += step_started.elapsed();
             }
         }
@@ -245,46 +175,9 @@ pub fn realize_tf(
     (out, report)
 }
 
-/// Runs the full global mechanism: TF perturbation followed by
-/// inter-trajectory modification (`GlobalEdit`, Algorithm 1 line 7).
-///
-/// The returned dataset realizes the perturbed TF distribution for every
-/// candidate point, up to saturation (a TF cannot exceed `|D|` or drop
-/// below the available occurrences).
-pub fn apply_global<R: Rng + ?Sized>(
-    ds: &Dataset,
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    kind: IndexKind,
-    bbox_pruning: bool,
-    workers: usize,
-    rng: &mut R,
-) -> Result<(Dataset, GlobalReport), MechError> {
-    let perturbed = perturb_tf(analysis, epsilon, rng)?;
-    Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, workers))
-}
-
-/// [`apply_global`] with per-point RNG streams instead of a shared
-/// generator — the entry point the pipeline and the parallel executor
-/// share, guaranteeing identical output for a fixed root seed.
-pub fn apply_global_streamed(
-    ds: &Dataset,
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    kind: IndexKind,
-    bbox_pruning: bool,
-    workers: usize,
-    root_seed: u64,
-) -> Result<(Dataset, GlobalReport), MechError> {
-    let perturbed = perturb_tf_streamed(analysis, epsilon, root_seed)?;
-    Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, workers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use trajdp_model::{Point, Sample, Trajectory};
 
     fn traj(id: u64, pts: &[(f64, f64)]) -> Trajectory {
@@ -306,13 +199,24 @@ mod tests {
         ])
     }
 
+    /// The whole global mechanism: streamed perturbation, then
+    /// modification.
+    fn apply(
+        d: &Dataset,
+        fa: &FrequencyAnalysis,
+        epsilon: f64,
+        seed: u64,
+    ) -> (Dataset, GlobalReport) {
+        let perturbed = perturb_tf_streamed(fa, epsilon, seed).unwrap();
+        realize_tf(d, fa, &perturbed, IndexKind::default(), false, 1)
+    }
+
     #[test]
     fn perturb_tf_stays_in_range() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(3);
         // Tiny ε → huge noise; rounding must still clamp to [0, |D|].
-        let p = perturb_tf(&fa, 0.01, &mut rng).unwrap();
+        let p = perturb_tf_streamed(&fa, 0.01, 3).unwrap();
         for &v in p.values() {
             assert!(v <= d.len() as u64);
         }
@@ -322,18 +226,16 @@ mod tests {
     #[test]
     fn perturb_tf_rejects_bad_epsilon() {
         let fa = FrequencyAnalysis::compute(&ds(), 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(perturb_tf(&fa, 0.0, &mut rng).is_err());
-        assert!(perturb_tf(&fa, -1.0, &mut rng).is_err());
+        assert!(perturb_tf_streamed(&fa, 0.0, 3).is_err());
+        assert!(perturb_tf_streamed(&fa, -1.0, 3).is_err());
     }
 
     #[test]
     fn perturb_tf_concentrates_with_large_epsilon() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(5);
         // ε = 1000 → noise ≈ 0 → rounded TF equals the original.
-        let p = perturb_tf(&fa, 1000.0, &mut rng).unwrap();
+        let p = perturb_tf_streamed(&fa, 1000.0, 5).unwrap();
         for (k, &v) in &p {
             assert_eq!(v, fa.candidate_tf[k] as u64);
         }
@@ -343,9 +245,7 @@ mod tests {
     fn apply_global_realizes_perturbed_tf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(11);
-        let (out, report) =
-            apply_global(&d, &fa, 0.5, IndexKind::default(), false, 1, &mut rng).unwrap();
+        let (out, report) = apply(&d, &fa, 0.5, 11);
         assert_eq!(out.len(), d.len());
         for (p, &(_, target)) in &report.tf_changes {
             let realized = out.trajectory_frequency(*p) as u64;
@@ -357,9 +257,7 @@ mod tests {
     fn apply_global_with_zero_noise_is_identity_on_tf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(17);
-        let (out, report) =
-            apply_global(&d, &fa, 1000.0, IndexKind::default(), false, 1, &mut rng).unwrap();
+        let (out, report) = apply(&d, &fa, 1000.0, 17);
         assert_eq!(report.insertions, 0);
         assert_eq!(report.deletions, 0);
         assert_eq!(report.utility_loss, 0.0);
@@ -386,21 +284,19 @@ mod tests {
     fn streamed_apply_is_deterministic_and_seed_sensitive() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (a, _) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 5).unwrap();
-        let (b, _) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 5).unwrap();
+        let (a, _) = apply(&d, &fa, 0.5, 5);
+        let (b, _) = apply(&d, &fa, 0.5, 5);
         assert_eq!(a, b);
-        let (c, _) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 6).unwrap();
+        let (c, _) = apply(&d, &fa, 0.5, 6);
         assert_ne!(a, c, "different root seeds must perturb differently");
     }
 
     #[test]
     fn realize_tf_is_worker_count_invariant() {
         use trajdp_synth::{generate, GeneratorConfig};
-        // A realistic world gives a candidate set with a healthy mix of
-        // increases, decreases, and no-ops once perturbed.
+        // `realize_tf` ignores its worker argument: the whole report but
+        // the timings must match. A realistic world gives a candidate
+        // set with a healthy mix of increases, decreases, and no-ops.
         let world = generate(&GeneratorConfig::tdrive_profile(25, 50, 13));
         let d = &world.dataset;
         let fa = FrequencyAnalysis::compute(d, 4);
@@ -415,6 +311,7 @@ mod tests {
                 assert_eq!(report.deletions, base_report.deletions);
                 assert_eq!(report.utility_loss, base_report.utility_loss);
                 assert_eq!(report.tf_changes, base_report.tf_changes);
+                assert_eq!(report.search_stats, base_report.search_stats);
             }
         }
     }
@@ -423,9 +320,7 @@ mod tests {
     fn report_counts_are_consistent() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(23);
-        let (_, report) =
-            apply_global(&d, &fa, 0.2, IndexKind::default(), false, 1, &mut rng).unwrap();
+        let (_, report) = apply(&d, &fa, 0.2, 23);
         // Any modification must be accounted: if points moved, loss ≥ 0
         // and the counters reflect edits.
         if report.insertions == 0 && report.deletions == 0 {

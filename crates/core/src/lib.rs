@@ -22,9 +22,8 @@
 //!   keeping a spatial index incrementally up to date.
 //! * [`pipeline`] — the published models: `PureG`, `PureL`, and the
 //!   composed `GL` with ε = ε_G + ε_L (Theorem 1).
-//! * [`pool`] — the scoped-thread chunked worker pool behind the
-//!   deterministic parallelism of the modification phase (and the
-//!   server's sharded executor).
+//! * [`pool`] — the scoped-thread chunked worker pool that shards the
+//!   local mechanism over `FreqDpConfig::workers` threads.
 //!
 //! ```
 //! use trajdp_core::pipeline::{anonymize, Model};
@@ -54,5 +53,5 @@ pub mod stream;
 
 pub use freq::{FrequencyAnalysis, SignatureEntry};
 pub use indexkind::IndexKind;
-pub use pipeline::{anonymize, run_model, AnonymizedOutput, FreqDpConfig, Model};
+pub use pipeline::{anonymize, AnonymizedOutput, FreqDpConfig, Model};
 pub use stream::{stream_rng, stream_seed, PHASE_GLOBAL, PHASE_LOCAL};

@@ -158,7 +158,7 @@ pub fn perturb_pf<R: Rng + ?Sized>(
 }
 
 /// The local mechanism's outcome on a single trajectory: the smallest
-/// unit of work a sharded executor schedules.
+/// unit of work the pipeline shards over its workers.
 #[derive(Debug, Clone)]
 pub struct LocalUnit {
     /// The modified trajectory.
@@ -176,12 +176,15 @@ pub struct LocalUnit {
 }
 
 /// Runs the local mechanism on one trajectory (point-list selection, PF
-/// perturbation, intra-trajectory modification). Deletions run before
-/// insertions so freshly inserted occurrences are never re-deleted.
+/// perturbation, intra-trajectory modification), drawing from the
+/// trajectory's **own RNG stream** `(root_seed, PHASE_LOCAL, slot)` —
+/// so the result is independent of processing order and shard
+/// boundaries. Deletions run before insertions so freshly inserted
+/// occurrences are never re-deleted.
 // The unit signature mirrors Algorithm 2's inputs one-to-one; bundling
 // them into a struct would only add indirection at every shard call.
 #[allow(clippy::too_many_arguments)]
-pub fn local_unit<R: Rng + ?Sized>(
+pub fn local_unit_streamed(
     traj: &Trajectory,
     analysis: &FrequencyAnalysis,
     slot: usize,
@@ -189,10 +192,11 @@ pub fn local_unit<R: Rng + ?Sized>(
     kind: IndexKind,
     opts: LocalOptions,
     domain: Rect,
-    rng: &mut R,
+    root_seed: u64,
 ) -> Result<LocalUnit, MechError> {
-    let list = select_point_list(traj, analysis, slot, rng);
-    let plan = perturb_pf(traj, &list, analysis.m, epsilon, opts, rng)?;
+    let mut rng = stream_rng(root_seed, PHASE_LOCAL, slot as u64);
+    let list = select_point_list(traj, analysis, slot, &mut rng);
+    let plan = perturb_pf(traj, &list, analysis.m, epsilon, opts, &mut rng)?;
     let mut editor = TrajectoryEditor::new(traj.clone(), kind, domain);
     for &(p, f, f_star) in &plan.entries {
         if (f_star as usize) < f {
@@ -212,25 +216,6 @@ pub fn local_unit<R: Rng + ?Sized>(
         trajectory: editor.into_trajectory(),
         plan,
     })
-}
-
-/// [`local_unit`] drawing from the trajectory's **own RNG stream**
-/// `(root_seed, PHASE_LOCAL, slot)` — the entry point both the serial
-/// pipeline and the sharded executor use, making the result independent
-/// of processing order and shard boundaries.
-#[allow(clippy::too_many_arguments)]
-pub fn local_unit_streamed(
-    traj: &Trajectory,
-    analysis: &FrequencyAnalysis,
-    slot: usize,
-    epsilon: f64,
-    kind: IndexKind,
-    opts: LocalOptions,
-    domain: Rect,
-    root_seed: u64,
-) -> Result<LocalUnit, MechError> {
-    let mut rng = stream_rng(root_seed, PHASE_LOCAL, slot as u64);
-    local_unit(traj, analysis, slot, epsilon, kind, opts, domain, &mut rng)
 }
 
 /// Merges per-trajectory units (in slot order) into a dataset and an
@@ -257,42 +242,6 @@ pub fn merge_local_units(domain: Rect, units: Vec<LocalUnit>) -> (Dataset, Local
     (Dataset::new(domain, out), report)
 }
 
-/// Runs the full local mechanism over the dataset with a single shared
-/// generator (the paper's presentation of Algorithm 2).
-pub fn apply_local<R: Rng + ?Sized>(
-    ds: &Dataset,
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    kind: IndexKind,
-    opts: LocalOptions,
-    rng: &mut R,
-) -> Result<(Dataset, LocalReport), MechError> {
-    let mut units = Vec::with_capacity(ds.len());
-    for (slot, traj) in ds.trajectories.iter().enumerate() {
-        units.push(local_unit(traj, analysis, slot, epsilon, kind, opts, ds.domain, rng)?);
-    }
-    Ok(merge_local_units(ds.domain, units))
-}
-
-/// [`apply_local`] with per-trajectory RNG streams — order-independent,
-/// so a sharded executor reproduces it exactly.
-pub fn apply_local_streamed(
-    ds: &Dataset,
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    kind: IndexKind,
-    opts: LocalOptions,
-    root_seed: u64,
-) -> Result<(Dataset, LocalReport), MechError> {
-    let mut units = Vec::with_capacity(ds.len());
-    for (slot, traj) in ds.trajectories.iter().enumerate() {
-        units.push(local_unit_streamed(
-            traj, analysis, slot, epsilon, kind, opts, ds.domain, root_seed,
-        )?);
-    }
-    Ok(merge_local_units(ds.domain, units))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,6 +265,35 @@ mod tests {
             traj(1, &[10.0, 11.0, 12.0, 10.0, 13.0, 14.0]),
             traj(2, &[20.0, 21.0, 22.0, 23.0, 24.0, 25.0]),
         ])
+    }
+
+    /// The whole local mechanism: one streamed unit per slot, merged in
+    /// slot order.
+    fn apply(
+        d: &Dataset,
+        fa: &FrequencyAnalysis,
+        epsilon: f64,
+        opts: LocalOptions,
+        seed: u64,
+    ) -> Result<(Dataset, LocalReport), MechError> {
+        let units = d
+            .trajectories
+            .iter()
+            .enumerate()
+            .map(|(slot, t)| {
+                local_unit_streamed(
+                    t,
+                    fa,
+                    slot,
+                    epsilon,
+                    IndexKind::default(),
+                    opts,
+                    d.domain,
+                    seed,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(merge_local_units(d.domain, units))
     }
 
     #[test]
@@ -415,10 +393,7 @@ mod tests {
     fn apply_local_realizes_perturbed_pf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(6);
-        let (out, report) =
-            apply_local(&d, &fa, 0.5, IndexKind::default(), LocalOptions::default(), &mut rng)
-                .unwrap();
+        let (out, report) = apply(&d, &fa, 0.5, LocalOptions::default(), 6).unwrap();
         assert_eq!(out.len(), d.len());
         for (slot, plan) in report.plans.iter().enumerate() {
             for &(p, _, f_star) in &plan.entries {
@@ -435,9 +410,7 @@ mod tests {
     fn streamed_local_is_order_and_shard_invariant() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (whole, report) =
-            apply_local_streamed(&d, &fa, 0.5, IndexKind::default(), LocalOptions::default(), 77)
-                .unwrap();
+        let (whole, report) = apply(&d, &fa, 0.5, LocalOptions::default(), 77).unwrap();
         // Recompute each trajectory in reverse order — per-slot streams
         // make the result identical.
         let mut units: Vec<LocalUnit> = (0..d.len())
@@ -468,9 +441,8 @@ mod tests {
     fn streamed_local_is_seed_sensitive() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let kind = IndexKind::default();
-        let (a, _) = apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 1).unwrap();
-        let (b, _) = apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 2).unwrap();
+        let (a, _) = apply(&d, &fa, 0.5, LocalOptions::default(), 1).unwrap();
+        let (b, _) = apply(&d, &fa, 0.5, LocalOptions::default(), 2).unwrap();
         assert_ne!(a, b, "different root seeds should perturb differently");
     }
 
@@ -478,9 +450,7 @@ mod tests {
     fn apply_local_rejects_bad_epsilon() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(apply_local(&d, &fa, 0.0, IndexKind::default(), LocalOptions::default(), &mut rng)
-            .is_err());
+        assert!(apply(&d, &fa, 0.0, LocalOptions::default(), 7).is_err());
     }
 
     #[test]
@@ -490,22 +460,11 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let original: usize = d.total_points();
-        let mut rng = StdRng::seed_from_u64(8);
-        let runs = 30;
         let (mut dev_full, mut dev_s1) = (0i64, 0i64);
-        for _ in 0..runs {
-            let (full, _) =
-                apply_local(&d, &fa, 1.0, IndexKind::default(), LocalOptions::default(), &mut rng)
-                    .unwrap();
-            let (s1, _) = apply_local(
-                &d,
-                &fa,
-                1.0,
-                IndexKind::default(),
-                LocalOptions { stage2: false, ..Default::default() },
-                &mut rng,
-            )
-            .unwrap();
+        for seed in 0..30 {
+            let (full, _) = apply(&d, &fa, 1.0, LocalOptions::default(), seed).unwrap();
+            let stage1_only = LocalOptions { stage2: false, ..Default::default() };
+            let (s1, _) = apply(&d, &fa, 1.0, stage1_only, seed).unwrap();
             dev_full += (full.total_points() as i64 - original as i64).abs();
             dev_s1 += (s1.total_points() as i64 - original as i64).abs();
         }

@@ -8,9 +8,10 @@
 //! [`Model::CombinedLocalFirst`] the reverse.
 
 use crate::freq::FrequencyAnalysis;
-use crate::global::{apply_global_streamed, GlobalReport};
+use crate::global::{perturb_tf_streamed, realize_tf, GlobalReport};
 use crate::indexkind::IndexKind;
-use crate::local::{apply_local_streamed, LocalOptions, LocalReport};
+use crate::local::{local_unit_streamed, merge_local_units, LocalOptions, LocalReport};
+use crate::pool::map_chunks;
 use std::time::Duration;
 use trajdp_mech::{BudgetAccountant, MechError};
 use trajdp_model::Dataset;
@@ -45,9 +46,11 @@ pub struct FreqDpConfig {
     /// phase instead of the segment index (the §V-C future-work
     /// optimization; same output, different search).
     pub bbox_pruning: bool,
-    /// Worker threads for the global modification phase (`GlobalEdit`).
-    /// The phase draws no randomness, so the output is byte-identical at
-    /// every value; `1` runs fully serial.
+    /// Worker threads for the local mechanism, the one phase that is
+    /// sharded: its trajectory slots are cut into contiguous chunks, one
+    /// per thread. Each trajectory draws from its own RNG stream, so the
+    /// output is byte-identical at every value; `1` runs fully serial.
+    /// The global phase always runs on the calling thread.
     pub workers: usize,
     /// RNG seed for reproducible runs.
     pub seed: u64,
@@ -99,76 +102,52 @@ impl AnonymizedOutput {
     }
 }
 
-/// Runs a model end to end through caller-supplied phase
-/// implementations: the budget accounting, model dispatch, timing, and
-/// output assembly shared by every execution backend.
+/// Runs a model end to end on a dataset.
 ///
-/// The serial pipeline ([`anonymize`]) and `trajdp_server`'s sharded
-/// executor both reduce to this driver with different `global` / `local`
-/// closures, so budget semantics and report assembly can never diverge
-/// between them. Each closure maps an input dataset (with the analysis
-/// of the *original* dataset) to a modified dataset plus report.
-pub fn run_model<G, L>(
+/// The signature analysis runs once on the *original* dataset, as in the
+/// paper — both mechanisms perturb the same candidate set `P`, and the
+/// budget accountant enforces ε = ε_G + ε_L for the combined models.
+///
+/// Randomness comes from **per-unit streams** derived from `cfg.seed`
+/// (see [`crate::stream`]): one stream per candidate point in the global
+/// phase, one per trajectory in the local phase. The output is therefore
+/// a pure function of `(dataset, model, cfg)` whatever `cfg.workers`
+/// says: the workers only change which thread runs a trajectory of the
+/// local phase. The global modification phase runs on the calling
+/// thread, because each of its edits reads what the previous ones
+/// wrote.
+pub fn anonymize(
     ds: &Dataset,
     model: Model,
     cfg: &FreqDpConfig,
-    analysis: &FrequencyAnalysis,
-    mut global_phase: G,
-    mut local_phase: L,
-) -> Result<AnonymizedOutput, MechError>
-where
-    G: FnMut(&Dataset, &FrequencyAnalysis) -> Result<(Dataset, GlobalReport), MechError>,
-    L: FnMut(&Dataset, &FrequencyAnalysis) -> Result<(Dataset, LocalReport), MechError>,
-{
+) -> Result<AnonymizedOutput, MechError> {
+    let analysis = FrequencyAnalysis::compute(ds, cfg.m);
     let total_budget = match model {
         Model::PureGlobal => cfg.eps_global,
         Model::PureLocal => cfg.eps_local,
         Model::Combined | Model::CombinedLocalFirst => cfg.eps_global + cfg.eps_local,
     };
     let mut accountant = BudgetAccountant::new(total_budget);
-
-    let mut run_global = |input: &Dataset,
-                          accountant: &mut BudgetAccountant|
-     -> Result<(Dataset, GlobalReport, Duration), MechError> {
-        accountant
-            .spend("global TF mechanism", cfg.eps_global)
-            .expect("budget sized for the model");
-        // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
-        let start = std::time::Instant::now();
-        let (out, report) = global_phase(input, analysis)?;
-        Ok((out, report, start.elapsed()))
-    };
-    let mut run_local = |input: &Dataset,
-                         accountant: &mut BudgetAccountant|
-     -> Result<(Dataset, LocalReport, Duration), MechError> {
-        accountant.spend("local PF mechanism", cfg.eps_local).expect("budget sized for the model");
-        // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
-        let start = std::time::Instant::now();
-        let (out, report) = local_phase(input, analysis)?;
-        Ok((out, report, start.elapsed()))
-    };
-
     let (dataset, global, local, global_time, local_time) = match model {
         Model::PureGlobal => {
-            let (out, g, t) = run_global(ds, &mut accountant)?;
+            let (out, g, t) = global_phase(ds, &analysis, cfg, &mut accountant)?;
             (out, Some(g), None, t, Duration::ZERO)
         }
         Model::PureLocal => {
-            let (out, l, t) = run_local(ds, &mut accountant)?;
+            let (out, l, t) = local_phase(ds, &analysis, cfg, &mut accountant)?;
             (out, None, Some(l), Duration::ZERO, t)
         }
         Model::Combined => {
-            let (mid, g, tg) = run_global(ds, &mut accountant)?;
-            let (out, l, tl) = run_local(&mid, &mut accountant)?;
+            let (mid, g, tg) = global_phase(ds, &analysis, cfg, &mut accountant)?;
+            let (out, l, tl) = local_phase(&mid, &analysis, cfg, &mut accountant)?;
             (out, Some(g), Some(l), tg, tl)
         }
         Model::CombinedLocalFirst => {
-            let (mid, l, tl) = run_local(ds, &mut accountant)?;
-            let (out, g, tg) = run_global(&mid, &mut accountant)?;
+            let (mid, l, tl) = local_phase(ds, &analysis, cfg, &mut accountant)?;
+            let (out, g, tg) = global_phase(&mid, &analysis, cfg, &mut accountant)?;
             (out, Some(g), Some(l), tg, tl)
         }
     };
-
     Ok(AnonymizedOutput {
         dataset,
         epsilon_spent: accountant.spent(),
@@ -179,51 +158,59 @@ where
     })
 }
 
-/// Runs a model end to end on a dataset.
-///
-/// The signature analysis runs once on the *original* dataset, as in the
-/// paper — both mechanisms perturb the same candidate set `P`, and the
-/// budget accountant enforces ε = ε_G + ε_L for the combined models.
-///
-/// Randomness comes from **per-unit streams** derived from `cfg.seed`
-/// (see [`crate::stream`]): one stream per candidate point in the global
-/// phase, one per trajectory in the local phase. This makes the output a
-/// pure function of `(dataset, model, cfg)` independent of execution
-/// order, so `trajdp_server`'s sharded executor reproduces it exactly at
-/// any worker count.
-pub fn anonymize(
-    ds: &Dataset,
-    model: Model,
+/// The global mechanism (Algorithm 1) on `input`: the TF perturbation
+/// from per-point streams, then the modification phase, with its wall
+/// time.
+fn global_phase(
+    input: &Dataset,
+    analysis: &FrequencyAnalysis,
     cfg: &FreqDpConfig,
-) -> Result<AnonymizedOutput, MechError> {
-    let analysis = FrequencyAnalysis::compute(ds, cfg.m);
-    run_model(
-        ds,
-        model,
-        cfg,
-        &analysis,
-        |input, analysis| {
-            apply_global_streamed(
-                input,
-                analysis,
-                cfg.eps_global,
-                cfg.index,
-                cfg.bbox_pruning,
-                cfg.workers,
-                cfg.seed,
-            )
-        },
-        |input, analysis| {
-            apply_local_streamed(
-                input,
-                analysis,
-                cfg.eps_local,
-                cfg.index,
-                cfg.local_opts,
-                cfg.seed,
-            )
-        },
-    )
+    accountant: &mut BudgetAccountant,
+) -> Result<(Dataset, GlobalReport, Duration), MechError> {
+    accountant.spend("global TF mechanism", cfg.eps_global).expect("budget sized for the model");
+    // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
+    let start = std::time::Instant::now();
+    let perturbed = perturb_tf_streamed(analysis, cfg.eps_global, cfg.seed)?;
+    let (out, report) = realize_tf(input, analysis, &perturbed, cfg.index, cfg.bbox_pruning, 1);
+    Ok((out, report, start.elapsed()))
+}
+
+/// The local mechanism (Algorithm 2) on `input`, its trajectory slots
+/// sharded over `cfg.workers` threads and the units merged in slot
+/// order, with its wall time.
+fn local_phase(
+    input: &Dataset,
+    analysis: &FrequencyAnalysis,
+    cfg: &FreqDpConfig,
+    accountant: &mut BudgetAccountant,
+) -> Result<(Dataset, LocalReport, Duration), MechError> {
+    accountant.spend("local PF mechanism", cfg.eps_local).expect("budget sized for the model");
+    // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
+    let start = std::time::Instant::now();
+    let shards = map_chunks(cfg.workers, &input.trajectories, |lo, chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(offset, traj)| {
+                local_unit_streamed(
+                    traj,
+                    analysis,
+                    lo + offset,
+                    cfg.eps_local,
+                    cfg.index,
+                    cfg.local_opts,
+                    input.domain,
+                    cfg.seed,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()
+    });
+    let mut units = Vec::with_capacity(input.len());
+    for shard in shards {
+        units.extend(shard?);
+    }
+    let (out, report) = merge_local_units(input.domain, units);
+    Ok((out, report, start.elapsed()))
 }
 
 #[cfg(test)]
@@ -322,6 +309,44 @@ mod tests {
         let out = anonymize(&d, Model::PureGlobal, &c).unwrap();
         // Huge ε → negligible noise → TF unchanged → dataset unchanged.
         assert_eq!(out.dataset, d);
+    }
+
+    #[test]
+    fn matches_serial_for_every_model_and_worker_count() {
+        let d = ds();
+        let cfg = FreqDpConfig { m: 3, seed: 0xFEED, ..Default::default() };
+        for model in
+            [Model::PureGlobal, Model::PureLocal, Model::Combined, Model::CombinedLocalFirst]
+        {
+            let serial = anonymize(&d, model, &cfg).unwrap();
+            for workers in [2, 3, 8] {
+                let parallel = anonymize(&d, model, &FreqDpConfig { workers, ..cfg }).unwrap();
+                assert_eq!(
+                    parallel.dataset, serial.dataset,
+                    "{model:?} with {workers} workers diverged from serial"
+                );
+                assert_eq!(parallel.epsilon_spent, serial.epsilon_spent);
+                assert_eq!(parallel.total_edits(), serial.total_edits(), "{model:?}");
+                assert_eq!(parallel.utility_loss(), serial.utility_loss(), "{model:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_workers_than_units_is_fine() {
+        let d = ds();
+        let serial = anonymize(&d, Model::Combined, &cfg()).unwrap();
+        let parallel = anonymize(&d, Model::Combined, &FreqDpConfig { workers: 64, ..cfg() });
+        assert_eq!(parallel.unwrap().dataset, serial.dataset);
+    }
+
+    #[test]
+    fn empty_dataset_is_handled() {
+        let cfg = FreqDpConfig { m: 2, workers: 4, ..Default::default() };
+        let empty = Dataset::from_trajectories(vec![]);
+        for model in [Model::PureGlobal, Model::PureLocal, Model::Combined] {
+            assert_eq!(anonymize(&empty, model, &cfg).unwrap().dataset.len(), 0, "{model:?}");
+        }
     }
 
     #[test]

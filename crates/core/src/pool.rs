@@ -1,13 +1,15 @@
 //! A minimal scoped-thread chunked worker pool.
 //!
-//! The deterministic phases of the pipeline (the inter-trajectory
-//! modification scans, the sharded TF perturbation) all reduce to the
-//! same shape: cut a slice into contiguous near-equal chunks, evaluate a
-//! pure function on each chunk concurrently, and combine the per-chunk
-//! results in chunk order. [`map_chunks`] provides exactly that on std
-//! scoped threads — no work stealing, no channels, no dependencies
-//! beyond the vendored workspace crates — so results are a pure function
-//! of `(items, f)` and never of thread scheduling.
+//! The local mechanism treats every trajectory on its own, so
+//! `trajdp_core::anonymize` cuts the trajectory slots into contiguous
+//! near-equal chunks, runs each chunk on its own thread, and merges the
+//! per-chunk results in chunk order. [`map_chunks`] provides exactly
+//! that on std scoped threads — no work stealing, no channels, no
+//! dependencies beyond the vendored workspace crates — so results are a
+//! pure function of `(items, f)` and never of thread scheduling. (The
+//! global modification phase is not sharded: each of its TF edits
+//! reads what the previous edits wrote, and one edit costs
+//! microseconds, less than a thread spawn.)
 
 /// Splits `len` items into at most `workers` contiguous chunks of
 /// near-equal size, returned as `(start, end)` ranges covering `0..len`

@@ -26,7 +26,7 @@
 //! On restart the journal is replayed: finished jobs answer `status`
 //! with their recorded result, and jobs that were `queued` or `running`
 //! at the crash are re-enqueued (re-resolving journaled handles against
-//! the reloaded store). Because the executor is deterministic per seed,
+//! the reloaded store). Because the pipeline is deterministic per seed,
 //! a replayed run produces byte-identical output to the original.
 //! Replay is strict — a malformed line fails startup loudly rather than
 //! silently dropping jobs — except for a torn final line, which is
@@ -1062,7 +1062,7 @@ impl JobQueue {
                 }
                 other => other,
             };
-            // Pull the executor's phase timings off the response before
+            // Pull the pipeline's phase timings off the response before
             // it is rendered to the version-less journal shape (which
             // deliberately omits them).
             let timings = match &result {

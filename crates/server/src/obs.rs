@@ -33,7 +33,7 @@
 //! `serve --log-level` arms it), so embedded servers and tests stay
 //! silent. Events carry the v2 envelope's request `id` as a
 //! correlation id from the service through the job queue into the
-//! executor's phase-timing report.
+//! pipeline's phase-timing report.
 
 use crate::api::{ErrorCode, WIRE_ERROR_CODES};
 use crate::json::Json;

@@ -136,7 +136,7 @@ pub struct AnonymizeParams {
 impl AnonymizeParams {
     /// Resolves the dataset reference against the store. A handle-based
     /// run is byte-identical to the inline run because both paths feed
-    /// the exact same CSV text to the executor.
+    /// the exact same CSV text to the pipeline.
     pub fn resolve(self, store: &DatasetStore) -> Result<AnonymizeSpec, ApiError> {
         let source = match &self.data {
             DataRef::Handle(id) => Some(id.clone()),
@@ -188,13 +188,13 @@ pub fn budget_split(model: Model, epsilon: f64, eps_split: f64) -> (f64, f64) {
     }
 }
 
-/// Caps on synthetic-generation and executor parameters: one request
+/// Caps on synthetic-generation and pipeline parameters: one request
 /// must not be able to allocate unbounded memory or spawn unbounded
 /// threads in a shared server process.
 pub const MAX_GEN_POINTS: u64 = 20_000_000;
 /// Upper bound on the signature size `m`.
 pub const MAX_M: u64 = 100_000;
-/// Upper bound on executor worker threads per request.
+/// Upper bound on the local phase's worker threads per request.
 pub const MAX_WORKERS: u64 = 1_024;
 
 /// A parsed protocol request.
@@ -781,13 +781,12 @@ pub fn run_gen(size: usize, len: usize, seed: u64) -> Response {
     }
 }
 
-/// Executes an `anonymize` request through the sharded executor.
+/// Executes an `anonymize` request through `trajdp_core::anonymize`.
 pub fn run_anonymize(spec: &AnonymizeSpec) -> Result<Response, ApiError> {
     let started = std::time::Instant::now();
     let ds = from_csv(&spec.csv)
         .map_err(|e| ApiError::invalid_dataset(format!("cannot parse csv: {e}")))?;
-    let cfg = spec.config();
-    let result = crate::executor::anonymize_parallel(&ds, spec.model, &cfg, spec.workers)
+    let result = trajdp_core::anonymize(&ds, spec.model, &spec.config())
         .map_err(|e| ApiError::internal(e.to_string()))?;
     let stage = result.global.as_ref().map(|g| g.timings).unwrap_or_default();
     let timings = crate::obs::PhaseTimings {

@@ -95,7 +95,7 @@ fn full_verb_walk_over_one_connection() {
 
 /// Several clients hammer the server concurrently; every response must
 /// be well-formed, and identical requests must get identical answers
-/// (the executor is deterministic per seed even under concurrency).
+/// (the pipeline is deterministic per seed even under concurrency).
 #[test]
 fn concurrent_clients_get_consistent_answers() {
     let server = start();

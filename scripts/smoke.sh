@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the trajdp service layer, driving the real
-# binary over TCP: serve in the background, chunked `submit --file
-# --data`, poll `status`, `fetch` the stored result, and diff it against
-# the inline CLI output. Then exercise the storage lifecycle at the
+# End-to-end smoke test of the trajdp CLI and service layer, driving the
+# real binary. A first CLI phase checks that `anonymize --parallel 1`
+# and `--parallel 4` release the same bytes. Then, over TCP: serve in
+# the background, chunked `submit --file --data`, poll `status`, `fetch`
+# the stored result, and diff it against the inline CLI output. Then
+# exercise the storage lifecycle at the
 # dataset cap (LRU eviction, `delete` freeing a slot, re-upload),
 # restart the server on the same --state-dir and check that the
 # compacted journal still resolves the finished job and its stored
@@ -44,6 +46,15 @@ wait_healthy() {
 "$BIN" gen --size 40 --len 60 --seed 7 --out "$TMP/private.csv"
 "$BIN" anonymize --model gl --m 4 --seed 9 --input "$TMP/private.csv" \
     --out "$TMP/inline.csv"
+
+# --parallel shards the local mechanism only; every trajectory draws
+# from its own seeded stream, so the release must not move.
+for P in 1 4; do
+    "$BIN" anonymize --model gl --seed 9 --parallel "$P" --input "$TMP/private.csv" \
+        --out "$TMP/parallel-$P.csv"
+done
+cmp "$TMP/parallel-1.csv" "$TMP/parallel-4.csv" \
+    || { echo "FAIL: anonymize --parallel 4 differs from --parallel 1" >&2; exit 1; }
 
 # A tiny --max-datasets cap so the lifecycle phase below can hit it with
 # a handful of uploads.
@@ -283,4 +294,4 @@ STILL=$(echo "{\"cmd\":\"anonymize\",\"dataset\":\"$ADS\",\"model\":\"gl\",\"m\"
 printf '%s' "$STILL" | grep -q '"code":"budget-exhausted"' \
     || { echo "FAIL: ε spend must survive the restart: $STILL" >&2; exit 1; }
 
-echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, tenant budget survives kill+restart"
+echo "smoke test passed: --parallel 1 vs 4 byte-identical, chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, tenant budget survives kill+restart"

@@ -20,7 +20,7 @@
 //! | [`baselines`] | `trajdp-baselines` | SC, RSC, W4M, GLOVE, KLT, DPT, AdaTrace |
 //! | [`attacks`] | `trajdp-attacks` | linking attack, HMM map-matching recovery |
 //! | [`metrics`] | `trajdp-metrics` | MI, INF, DE, TE, FFP, recovery metrics |
-//! | [`server`] | `trajdp-server` | sharded parallel executor, JSON-lines service |
+//! | [`server`] | `trajdp-server` | JSON-lines service around the pipeline |
 //!
 //! ## Quickstart
 //!

@@ -36,8 +36,9 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{HashMap, HashSet};
+use std::io::Write;
 use std::process::ExitCode;
-use traj_freq_dp::core::FreqDpConfig;
+use traj_freq_dp::core::{anonymize, FreqDpConfig};
 use traj_freq_dp::metrics::{
     diameter_divergence, frequent_pattern_f1, information_loss, mutual_information, trip_divergence,
 };
@@ -48,9 +49,7 @@ use traj_freq_dp::server::api::{ApiError, ErrorCode};
 use traj_freq_dp::server::protocol::{
     budget_split, parse_model, validate_eps_split, validate_epsilon, validate_m, validate_workers,
 };
-use traj_freq_dp::server::{
-    anonymize_parallel, init_logger, Client, LogLevel, Server, ServerConfig,
-};
+use traj_freq_dp::server::{init_logger, Client, LogLevel, Server, ServerConfig};
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
 /// A classified CLI failure; each class maps to a documented exit code.
@@ -111,6 +110,26 @@ impl From<ApiError> for CliError {
 /// not an API failure.
 fn usage(e: ApiError) -> CliError {
     CliError::Usage(e.message)
+}
+
+/// Writes `text` to stdout, the one way the CLI prints results. A
+/// closed pipe means the reader has all it wants (`trajdp submit … |
+/// head`), so the process stops there with exit 0 instead of panicking
+/// the way `println!` does.
+fn emit(text: &str) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(CliError::Other(format!("cannot write to stdout: {e}"))),
+    }
+}
+
+/// `println!` through [`emit`]; propagates a write failure with `?`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))?
+    };
 }
 
 fn main() -> ExitCode {
@@ -313,8 +332,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 workers: parallel,
                 ..Default::default()
             };
-            let result = anonymize_parallel(&ds, model, &cfg, parallel)
-                .map_err(|e| CliError::Other(e.to_string()))?;
+            let result = anonymize(&ds, model, &cfg).map_err(|e| CliError::Other(e.to_string()))?;
             save(out, &result.dataset)?;
             eprintln!(
                 "wrote {out}: ε spent = {}, edits = {}, utility loss = {:.1} m",
@@ -333,18 +351,18 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     "datasets must contain the same number of trajectories".into(),
                 ));
             }
-            println!("MI  = {:.4}", mutual_information(&original, &anonymized, 64));
-            println!("INF = {:.4}", information_loss(&original, &anonymized));
-            println!("DE  = {:.4}", diameter_divergence(&original, &anonymized, 24));
-            println!("TE  = {:.4}", trip_divergence(&original, &anonymized, 16));
-            println!("FFP = {:.4}", frequent_pattern_f1(&original, &anonymized, 64, 2, 200));
+            outln!("MI  = {:.4}", mutual_information(&original, &anonymized, 64));
+            outln!("INF = {:.4}", information_loss(&original, &anonymized));
+            outln!("DE  = {:.4}", diameter_divergence(&original, &anonymized, 24));
+            outln!("TE  = {:.4}", trip_divergence(&original, &anonymized, 16));
+            outln!("FFP = {:.4}", frequent_pattern_f1(&original, &anonymized, 64, 2, 200));
             Ok(())
         }
         "stats" => {
             let flags = parse_flags(cmd, rest, &["input"])?;
             let ds = load(required(&flags, "input")?)?;
             let s = DatasetStats::compute(&ds);
-            println!("{s:#?}");
+            outln!("{s:#?}");
             Ok(())
         }
         "serve" => {
@@ -502,7 +520,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     Some(rewritten) => client.request(&rewritten)?,
                     None => client.request_line(line)?,
                 };
-                println!("{response}");
+                outln!("{response}");
             }
             Ok(())
         }
@@ -543,28 +561,28 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let info = client.info()?;
             // `key=value` lines: stable to parse from shell, readable
             // at a glance.
-            println!("version={}", info.version);
-            println!(
+            outln!("version={}", info.version);
+            outln!(
                 "protocol_versions={}",
                 info.protocol_versions.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
             );
-            println!("workers={}", info.workers);
-            println!("max_datasets={}", info.max_datasets);
-            println!("max_dataset_bytes={}", info.max_dataset_bytes);
-            println!("max_request_bytes={}", info.max_request_bytes);
-            println!("max_download_chunk_bytes={}", info.max_download_chunk_bytes);
-            println!("default_download_chunk_bytes={}", info.default_download_chunk_bytes);
-            println!("max_gen_points={}", info.max_gen_points);
-            println!("max_m={}", info.max_m);
-            println!("max_workers={}", info.max_workers);
-            println!("max_connections={}", info.max_connections);
-            println!("read_timeout_secs={}", info.read_timeout_secs);
-            println!("uptime_secs={}", info.uptime_secs);
-            println!("started_at={}", info.started_at);
-            println!("state_dir={}", info.state_dir);
-            println!("tenants={}", info.tenants);
+            outln!("workers={}", info.workers);
+            outln!("max_datasets={}", info.max_datasets);
+            outln!("max_dataset_bytes={}", info.max_dataset_bytes);
+            outln!("max_request_bytes={}", info.max_request_bytes);
+            outln!("max_download_chunk_bytes={}", info.max_download_chunk_bytes);
+            outln!("default_download_chunk_bytes={}", info.default_download_chunk_bytes);
+            outln!("max_gen_points={}", info.max_gen_points);
+            outln!("max_m={}", info.max_m);
+            outln!("max_workers={}", info.max_workers);
+            outln!("max_connections={}", info.max_connections);
+            outln!("read_timeout_secs={}", info.read_timeout_secs);
+            outln!("uptime_secs={}", info.uptime_secs);
+            outln!("started_at={}", info.started_at);
+            outln!("state_dir={}", info.state_dir);
+            outln!("tenants={}", info.tenants);
             if let Some(eps) = info.eps_budget {
-                println!("eps_budget={eps}");
+                outln!("eps_budget={eps}");
             }
             Ok(())
         }
@@ -574,10 +592,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let mut client = connect(addr)?;
             let snap = client.metrics()?;
             if switches.contains("json") {
-                println!("{}", snap.to_json());
+                outln!("{}", snap.to_json());
             } else {
                 // Prometheus text exposition already ends in a newline.
-                print!("{}", snap.to_prometheus());
+                emit(&snap.to_prometheus())?;
             }
             Ok(())
         }

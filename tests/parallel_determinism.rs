@@ -1,10 +1,12 @@
-//! Cross-crate determinism: the sharded executor must reproduce the
-//! serial pipeline **byte for byte** (as released CSV) at every worker
-//! count, for every model, on realistic synthetic data.
+//! Cross-crate determinism: `FreqDpConfig::workers` shards only the
+//! local mechanism, and every trajectory draws from its own RNG stream,
+//! so the released CSV must be **byte-identical** at every worker count,
+//! for every model, on realistic synthetic data. The global
+//! modification phase runs on one thread, so even its search counters
+//! must not move with the worker count.
 
 use traj_freq_dp::core::{anonymize, FreqDpConfig, Model};
 use traj_freq_dp::model::csv::to_csv;
-use traj_freq_dp::server::anonymize_parallel;
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
 #[test]
@@ -13,9 +15,12 @@ fn parallel_csv_is_byte_identical_to_serial() {
     let cfg = FreqDpConfig { m: 5, seed: 0xD1CE, ..Default::default() };
     for model in [Model::PureGlobal, Model::PureLocal, Model::Combined] {
         let serial_csv = to_csv(&anonymize(&world.dataset, model, &cfg).unwrap().dataset);
-        for workers in [1usize, 2, 8] {
-            let parallel_csv =
-                to_csv(&anonymize_parallel(&world.dataset, model, &cfg, workers).unwrap().dataset);
+        for workers in [2usize, 8] {
+            let parallel_csv = to_csv(
+                &anonymize(&world.dataset, model, &FreqDpConfig { workers, ..cfg })
+                    .unwrap()
+                    .dataset,
+            );
             assert_eq!(
                 parallel_csv, serial_csv,
                 "{model:?} with {workers} workers must match serial byte-for-byte"
@@ -26,27 +31,17 @@ fn parallel_csv_is_byte_identical_to_serial() {
 
 #[test]
 fn parallel_modification_is_byte_identical_for_combined_models() {
-    // The global modification phase (`GlobalEdit`) is parallelized via
-    // `cfg.workers`; both full combined pipelines must release the exact
-    // same bytes at every worker count, through both the serial pipeline
-    // and the sharded executor.
+    // Both combined orders run the global phase on a different input
+    // (the original or the locally perturbed dataset); both must release
+    // the same bytes at every worker count.
     let world = generate(&GeneratorConfig::tdrive_profile(35, 70, 29));
     for model in [Model::Combined, Model::CombinedLocalFirst] {
         let base_cfg = FreqDpConfig { m: 6, seed: 0xBEEF, ..Default::default() };
         let serial_csv = to_csv(&anonymize(&world.dataset, model, &base_cfg).unwrap().dataset);
-        for workers in [1usize, 2, 3, 8] {
+        for workers in [2usize, 3, 8] {
             let cfg = FreqDpConfig { workers, ..base_cfg };
-            let pipeline_csv = to_csv(&anonymize(&world.dataset, model, &cfg).unwrap().dataset);
-            assert_eq!(
-                pipeline_csv, serial_csv,
-                "{model:?}: pipeline with cfg.workers={workers} diverged"
-            );
-            let executor_csv =
-                to_csv(&anonymize_parallel(&world.dataset, model, &cfg, workers).unwrap().dataset);
-            assert_eq!(
-                executor_csv, serial_csv,
-                "{model:?}: executor with {workers} workers diverged"
-            );
+            let csv = to_csv(&anonymize(&world.dataset, model, &cfg).unwrap().dataset);
+            assert_eq!(csv, serial_csv, "{model:?}: cfg.workers={workers} diverged");
         }
     }
 }
@@ -65,21 +60,33 @@ fn parallel_modification_with_bbox_pruning_is_byte_identical() {
 }
 
 #[test]
+fn search_stats_do_not_depend_on_the_worker_count() {
+    let world = generate(&GeneratorConfig::tdrive_profile(25, 50, 31));
+    for bbox_pruning in [false, true] {
+        let base_cfg = FreqDpConfig { m: 5, seed: 0xACE, bbox_pruning, ..Default::default() };
+        let stats_at = |workers: usize| {
+            let cfg = FreqDpConfig { workers, ..base_cfg };
+            let out = anonymize(&world.dataset, Model::Combined, &cfg).unwrap();
+            out.global.expect("the combined model runs the global mechanism").search_stats
+        };
+        let serial = stats_at(1);
+        assert!(serial.segments_checked > 0, "bbox_pruning={bbox_pruning}: no search ran");
+        for workers in [2usize, 3, 8] {
+            assert_eq!(
+                stats_at(workers),
+                serial,
+                "bbox_pruning={bbox_pruning}: search counters moved at {workers} workers"
+            );
+        }
+    }
+}
+
+#[test]
 fn different_seeds_still_differ_in_parallel() {
     let world = generate(&GeneratorConfig::tdrive_profile(15, 40, 23));
-    let a = anonymize_parallel(
-        &world.dataset,
-        Model::Combined,
-        &FreqDpConfig { m: 4, seed: 1, ..Default::default() },
-        8,
-    )
-    .unwrap();
-    let b = anonymize_parallel(
-        &world.dataset,
-        Model::Combined,
-        &FreqDpConfig { m: 4, seed: 2, ..Default::default() },
-        8,
-    )
-    .unwrap();
-    assert_ne!(to_csv(&a.dataset), to_csv(&b.dataset));
+    let run = |seed: u64| {
+        let cfg = FreqDpConfig { m: 4, seed, workers: 8, ..Default::default() };
+        to_csv(&anonymize(&world.dataset, Model::Combined, &cfg).unwrap().dataset)
+    };
+    assert_ne!(run(1), run(2));
 }

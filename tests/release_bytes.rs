@@ -1,13 +1,12 @@
 //! Pins the released bytes of a fixed set of runs, so that no change to
-//! a hot path (index, editors, executor) can alter what a seed
+//! a hot path (index, editors, pipeline) can alter what a seed
 //! publishes without failing here. Each case records the FNV-1a-64 hash
 //! of the release CSV, the total edit count and the bits of the total
 //! utility loss; a deliberate output change must update the table and
 //! say why.
 
-use traj_freq_dp::core::{FreqDpConfig, Model};
+use traj_freq_dp::core::{anonymize, FreqDpConfig, Model};
 use traj_freq_dp::model::csv::to_csv;
-use traj_freq_dp::server::anonymize_parallel;
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
 /// 64-bit FNV-1a, written out so the pin depends on no hasher library.
@@ -52,7 +51,7 @@ fn release_bytes_match_the_pinned_values() {
             PINNED.iter().filter(|case| case.0 == seed)
         {
             let cfg = FreqDpConfig { workers, ..Default::default() };
-            let out = anonymize_parallel(&world.dataset, model, &cfg, workers).unwrap();
+            let out = anonymize(&world.dataset, model, &cfg).unwrap();
             let got = (
                 fnv1a64(to_csv(&out.dataset).as_bytes()),
                 out.total_edits(),
