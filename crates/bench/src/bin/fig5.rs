@@ -7,7 +7,9 @@
 //! hierarchical grid keeps a 512×512 finest level, since tolerating
 //! over-fine leaves is exactly its advantage.
 //! Right plot: time split between local (intra-) and global (inter-)
-//! modification under the best index (HG+).
+//! modification under the best index (HG+). The index serves only the
+//! global modification phase; the local mechanism scans each
+//! trajectory's own segments, so its time does not depend on the index.
 //!
 //! ```text
 //! cargo run -p trajdp_bench --release --bin fig5

@@ -1,32 +1,30 @@
 //! Trajectory and dataset editors: apply the edit operations of §IV-A
-//! with exact utility-loss accounting while keeping a segment index
-//! incrementally up to date.
+//! with exact utility-loss accounting.
 //!
 //! * [`TrajectoryEditor`] drives **intra-trajectory modification**
 //!   (Definition 9): inserting/deleting occurrences of a point within a
-//!   single trajectory, choosing the ∆f nearest segments via K-nearest
-//!   segment search (Definition 10).
+//!   single trajectory, choosing the ∆f nearest segments (Definition 10)
+//!   by a direct scan of that trajectory's own segments.
 //! * [`DatasetEditor`] drives **inter-trajectory modification**
 //!   (Definition 7): raising/lowering a point's TF by inserting it into /
 //!   deleting it from the ∆l trajectories with the least utility loss
-//!   (Definition 8).
+//!   (Definition 8), searched through a dataset-wide segment index kept
+//!   incrementally up to date.
 
 use crate::indexkind::{AnyIndex, IndexKind};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use trajdp_index::{SearchStats, SegmentEntry, TotalF64};
 use trajdp_model::{Point, PointKey, Rect, Trajectory};
 
-/// Editor for one trajectory, with an index over its segments.
+/// Editor for one trajectory. A trajectory has a few hundred segments
+/// at most, so every search scans them directly: an index would cost
+/// more to build and keep up to date than the scans it saves.
 #[derive(Debug, Clone)]
 pub struct TrajectoryEditor {
     traj: Trajectory,
-    /// `seg_ids[i]` is the index payload of segment `⟨samples[i], samples[i+1]⟩`.
-    seg_ids: Vec<u64>,
-    index: AnyIndex,
-    next_id: u64,
     /// Accumulated utility loss of all edits.
     pub loss: f64,
-    /// Accumulated search work counters.
+    /// Accumulated search work counters (segments scanned).
     pub stats: SearchStats,
     /// Number of point insertions performed.
     pub insertions: usize,
@@ -35,30 +33,9 @@ pub struct TrajectoryEditor {
 }
 
 impl TrajectoryEditor {
-    /// Builds an editor (and its index) for `traj` over `domain`.
-    pub fn new(traj: Trajectory, kind: IndexKind, domain: Rect) -> Self {
-        let mut index = AnyIndex::new(kind, domain);
-        let mut seg_ids = Vec::with_capacity(traj.num_segments());
-        for (i, seg) in traj.segments() {
-            let id = i as u64;
-            index.insert(SegmentEntry::new(id, seg));
-            seg_ids.push(id);
-        }
-        let next_id = seg_ids.len() as u64;
-        Self {
-            traj,
-            seg_ids,
-            index,
-            next_id,
-            loss: 0.0,
-            stats: SearchStats::default(),
-            insertions: 0,
-            deletions: 0,
-        }
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        id_counter(&mut self.next_id)()
+    /// Builds an editor for `traj`.
+    pub fn new(traj: Trajectory) -> Self {
+        Self { traj, loss: 0.0, stats: SearchStats::default(), insertions: 0, deletions: 0 }
     }
 
     /// Read access to the trajectory being edited.
@@ -71,60 +48,31 @@ impl TrajectoryEditor {
         self.traj
     }
 
-    fn accumulate(&mut self, s: SearchStats) {
-        self.stats.cells_visited += s.cells_visited;
-        self.stats.segments_checked += s.segments_checked;
-    }
-
     /// Inserts `delta` occurrences of `q` at the ∆f nearest segments
-    /// (Definition 10). Returns the utility loss incurred.
+    /// (Definition 10): the `delta` smallest `(distance, position)`
+    /// pairs, so equal-distance ties go to the earliest segment. When
+    /// the trajectory has fewer segments than `delta`, the remainder is
+    /// appended. Returns the utility loss incurred.
     pub fn insert_occurrences(&mut self, q: Point, delta: usize) -> f64 {
         if delta == 0 {
             return 0.0;
         }
-        let mut incurred = 0.0;
-        if self.traj.len() < 2 {
-            // No segments exist: append (the degenerate fallback).
-            for _ in 0..delta {
-                incurred += self.traj.push_point(q);
-                self.insertions += 1;
-            }
-            self.rebuild_index_suffix(0);
-            self.loss += incurred;
-            return incurred;
-        }
-        let (neighbors, stats) = self.index.knn_with_stats(&q, delta, None);
-        self.accumulate(stats);
-        // Map neighbour ids to current segment positions; insert from the
-        // highest position down so earlier positions stay valid.
-        let mut positions: Vec<usize> = neighbors
-            .iter()
-            .filter_map(|n| self.seg_ids.iter().position(|&id| id == n.id))
-            .collect();
+        self.stats.segments_checked += self.traj.num_segments();
+        let mut positions: Vec<usize> =
+            nearest_segments(&self.traj, &q, delta).into_iter().map(|(_, pos)| pos).collect();
+        // Insert from the highest position down so earlier positions
+        // stay valid.
         positions.sort_unstable_by(|a, b| b.cmp(a));
-        for pos in positions {
-            incurred += self.insert_at_segment(q, pos);
+        let mut incurred = 0.0;
+        for &pos in &positions {
+            incurred += self.traj.insert_into_segment(q, pos);
         }
-        // If the trajectory had fewer segments than `delta`, append the
-        // remainder at the nearest end.
-        let done = neighbors.len();
-        for _ in done..delta {
+        for _ in positions.len()..delta {
             incurred += self.traj.push_point(q);
-            self.insertions += 1;
-            let last = self.traj.len() - 2;
-            let id = self.fresh_id();
-            self.index.insert(SegmentEntry::new(id, self.traj.segment(last)));
-            self.seg_ids.push(id);
         }
+        self.insertions += delta;
         self.loss += incurred;
         incurred
-    }
-
-    /// Inserts `q` into segment `pos`, splitting the index entry.
-    fn insert_at_segment(&mut self, q: Point, pos: usize) -> f64 {
-        self.insertions += 1;
-        let fresh_id = id_counter(&mut self.next_id);
-        split_segment(&mut self.traj, &mut self.seg_ids, &mut self.index, q, pos, fresh_id)
     }
 
     /// Deletes `delta` occurrences of `q`, each time removing the
@@ -140,51 +88,24 @@ impl TrajectoryEditor {
             }) else {
                 break;
             };
-            incurred += self.delete_at(best);
+            incurred += self.traj.delete_at(best);
+            self.deletions += 1;
         }
         self.loss += incurred;
         incurred
     }
-
-    /// Deletes the sample at `idx`, merging the index entries.
-    fn delete_at(&mut self, idx: usize) -> f64 {
-        self.deletions += 1;
-        let fresh_id = id_counter(&mut self.next_id);
-        delete_sample(&mut self.traj, &mut self.seg_ids, &mut self.index, idx, fresh_id)
-    }
-
-    /// Re-registers all segments from position `from` (used after bulk
-    /// structural changes).
-    fn rebuild_index_suffix(&mut self, from: usize) {
-        for &id in &self.seg_ids[from.min(self.seg_ids.len())..] {
-            self.index.remove(id);
-        }
-        self.seg_ids.truncate(from.min(self.seg_ids.len()));
-        for i in from..self.traj.num_segments() {
-            let id = self.fresh_id();
-            self.index.insert(SegmentEntry::new(id, self.traj.segment(i)));
-            self.seg_ids.push(id);
-        }
-    }
-
-    /// Internal invariant check used by tests: every segment of the
-    /// trajectory has exactly one index entry, holding its geometry.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        assert_eq!(self.seg_ids.len(), self.traj.num_segments(), "seg_ids length mismatch");
-        assert_eq!(self.index.len(), self.seg_ids.len(), "index size mismatch");
-        let distinct_ids: HashSet<u64> = self.seg_ids.iter().copied().collect();
-        assert_eq!(distinct_ids.len(), self.seg_ids.len(), "duplicate segment ids");
-        check_indexed_geometry(&self.index, &self.traj, &self.seg_ids);
-    }
 }
 
-/// Hands out the ids `*next, *next + 1, …`.
-fn id_counter(next: &mut u64) -> impl FnMut() -> u64 + '_ {
-    move || {
-        *next += 1;
-        *next - 1
+/// The `k` smallest `(distance to q, position)` pairs over the segments
+/// of `traj`, in no particular order; fewer when it has fewer segments.
+fn nearest_segments(traj: &Trajectory, q: &Point, k: usize) -> Vec<(TotalF64, usize)> {
+    let mut scored: Vec<(TotalF64, usize)> =
+        traj.segments().map(|(i, s)| (TotalF64(s.dist_to_point(q)), i)).collect();
+    if k < scored.len() {
+        scored.select_nth_unstable(k);
+        scored.truncate(k);
     }
+    scored
 }
 
 /// Hands out the next dense id of a [`DatasetEditor`], recording slot
@@ -651,11 +572,10 @@ mod tests {
     #[test]
     fn insert_picks_nearest_segment() {
         let t = traj(0, &[(0.0, 0.0), (100.0, 0.0), (100.0, 100.0)]);
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         let q = Point::new(50.0, 5.0); // 5 m from the first segment
         let loss = ed.insert_occurrences(q, 1);
         assert_eq!(loss, 5.0);
-        ed.check_invariants();
         let out = ed.into_trajectory();
         assert_eq!(out.len(), 4);
         assert_eq!(out.samples[1].loc, q);
@@ -664,10 +584,9 @@ mod tests {
     #[test]
     fn multi_insert_uses_distinct_segments() {
         let t = traj(0, &[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0)]);
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         let q = Point::new(150.0, 10.0);
         ed.insert_occurrences(q, 2);
-        ed.check_invariants();
         let out = ed.into_trajectory();
         assert_eq!(out.len(), 6);
         assert_eq!(out.count_point(q.key()), 2);
@@ -681,10 +600,9 @@ mod tests {
     #[test]
     fn insert_more_than_segments_appends_remainder() {
         let t = traj(0, &[(0.0, 0.0), (10.0, 0.0)]); // one segment
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         let q = Point::new(5.0, 1.0);
         ed.insert_occurrences(q, 3);
-        ed.check_invariants();
         let out = ed.into_trajectory();
         assert_eq!(out.count_point(q.key()), 3);
         assert!(out.samples.windows(2).all(|w| w[0].t <= w[1].t));
@@ -693,9 +611,8 @@ mod tests {
     #[test]
     fn insert_into_degenerate_trajectory() {
         let t = traj(0, &[(1.0, 1.0)]);
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         ed.insert_occurrences(Point::new(2.0, 2.0), 2);
-        ed.check_invariants();
         assert_eq!(ed.trajectory().len(), 3);
     }
 
@@ -705,10 +622,9 @@ mod tests {
         // 3 is a 50 m detour.
         let t = traj(0, &[(0.0, 0.0), (50.0, 0.0), (100.0, 0.0), (150.0, 50.0), (200.0, 0.0)]);
         let q1 = Point::new(50.0, 0.0);
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         let loss = ed.delete_occurrences(q1.key(), 1);
         assert_eq!(loss, 0.0);
-        ed.check_invariants();
         assert_eq!(ed.trajectory().len(), 4);
     }
 
@@ -716,9 +632,8 @@ mod tests {
     fn delete_more_than_present_deletes_all() {
         let q = Point::new(5.0, 5.0);
         let t = traj(0, &[(0.0, 0.0), (5.0, 5.0), (10.0, 0.0), (5.0, 5.0), (20.0, 0.0)]);
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         ed.delete_occurrences(q.key(), 10);
-        ed.check_invariants();
         assert_eq!(ed.trajectory().count_point(q.key()), 0);
         assert_eq!(ed.deletions, 2);
     }
@@ -727,21 +642,79 @@ mod tests {
     fn delete_endpoint_occurrence() {
         let q = Point::new(0.0, 0.0);
         let t = traj(0, &[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]);
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         let loss = ed.delete_occurrences(q.key(), 1);
         assert_eq!(loss, 0.0); // endpoints reconnect for free
-        ed.check_invariants();
         assert_eq!(ed.trajectory().len(), 2);
     }
 
     #[test]
     fn editor_losses_accumulate() {
         let t = traj(0, &[(0.0, 0.0), (100.0, 0.0)]);
-        let mut ed = TrajectoryEditor::new(t, IndexKind::default(), domain());
+        let mut ed = TrajectoryEditor::new(t);
         ed.insert_occurrences(Point::new(50.0, 10.0), 1);
         ed.insert_occurrences(Point::new(25.0, 20.0), 1);
         assert!(ed.loss >= 10.0);
         assert_eq!(ed.insertions, 2);
+    }
+
+    #[test]
+    fn equal_distance_ties_go_to_the_earliest_segment() {
+        // Back and forth over one street: all three segments lie 10 m
+        // from q, so only the position can decide.
+        let t = traj(0, &[(0.0, 0.0), (100.0, 0.0), (0.0, 0.0), (100.0, 0.0)]);
+        let q = Point::new(50.0, 10.0);
+        let mut ed = TrajectoryEditor::new(t);
+        assert_eq!(ed.insert_occurrences(q, 2), 20.0);
+        assert_eq!(ed.stats.segments_checked, 3);
+        assert_eq!(ed.stats.cells_visited, 0);
+        let out = ed.into_trajectory();
+        assert_eq!(out.samples[1].loc, q);
+        assert_eq!(out.samples[3].loc, q);
+        assert_eq!(out.len(), 6);
+    }
+
+    #[test]
+    fn scan_distances_match_the_hierarchical_grid() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(15);
+        // Points on a coarse lattice, so trajectories revisit points and
+        // repeat whole segments, and many distances tie.
+        let lattice = |rng: &mut StdRng| {
+            (f64::from(rng.gen_range(0..8u32)) * 125.0, f64::from(rng.gen_range(0..8u32)) * 125.0)
+        };
+        let mut checked = 0;
+        for id in 0..40 {
+            let len = rng.gen_range(0..30usize);
+            let pts: Vec<(f64, f64)> = (0..len).map(|_| lattice(&mut rng)).collect();
+            let mut ed = TrajectoryEditor::new(traj(id, &pts));
+            for _ in 0..6 {
+                let (x, y) = if rng.gen_range(0..2u32) == 0 {
+                    lattice(&mut rng)
+                } else {
+                    (rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0))
+                };
+                let q = Point::new(x, y);
+                let delta = rng.gen_range(1..=ed.trajectory().num_segments() + 2);
+                let mut index = AnyIndex::new(IndexKind::default(), domain());
+                for (i, seg) in ed.trajectory().segments() {
+                    index.insert(SegmentEntry::new(i as u64, seg));
+                }
+                let (hits, _) = index.knn_with_stats(&q, delta, None);
+                let mut want: Vec<u64> = hits.iter().map(|n| n.dist.to_bits()).collect();
+                let mut got: Vec<u64> = nearest_segments(ed.trajectory(), &q, delta)
+                    .into_iter()
+                    .map(|(d, _)| d.0.to_bits())
+                    .collect();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "trajectory {id}, q = {q:?}, delta = {delta}");
+                ed.insert_occurrences(q, delta);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 240);
     }
 
     // ---------- DatasetEditor ----------

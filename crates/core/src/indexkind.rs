@@ -1,4 +1,4 @@
-//! Runtime-selectable segment index, so the modification algorithms can
+//! Runtime-selectable segment index, so the global modification phase can
 //! run against any of the paper's index variants (Linear, UG, HGt, HGb,
 //! HG+) — the efficiency experiment of Figure 5 sweeps exactly these.
 
@@ -7,7 +7,9 @@ use trajdp_index::{
 };
 use trajdp_model::{Point, Rect};
 
-/// Which index the editors should use for K-nearest segment search.
+/// Which index the global modification phase uses for its dataset-wide
+/// K-nearest segment search. The local mechanism edits one trajectory
+/// at a time and scans that trajectory's own segments, so it uses none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// Exhaustive scan (`Linear`).

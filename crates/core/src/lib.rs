@@ -18,8 +18,9 @@
 //!   perturbation of each trajectory's PF distribution with budget ε_L,
 //!   followed by intra-trajectory modification (Definition 9).
 //! * [`editor`] — trajectory/dataset editors that apply the edit
-//!   operations of §IV-A with exact utility-loss accounting while
-//!   keeping a spatial index incrementally up to date.
+//!   operations of §IV-A with exact utility-loss accounting: the
+//!   trajectory editor scans its own segments, the dataset editor keeps
+//!   a spatial index incrementally up to date.
 //! * [`pipeline`] — the published models: `PureG`, `PureL`, and the
 //!   composed `GL` with ε = ε_G + ε_L (Theorem 1).
 //! * [`pool`] — the scoped-thread chunked worker pool that shards the

@@ -64,7 +64,8 @@ pub struct LocalReport {
     pub insertions: usize,
     /// Point deletions performed.
     pub deletions: usize,
-    /// Accumulated K-nearest-search work.
+    /// Accumulated K-nearest-search work: the segments scanned by the
+    /// insertions (`cells_visited` stays 0, no index is searched).
     pub search_stats: SearchStats,
 }
 
@@ -171,7 +172,7 @@ pub struct LocalUnit {
     pub insertions: usize,
     /// Point deletions performed.
     pub deletions: usize,
-    /// K-nearest-search work of this trajectory's edits.
+    /// Segments scanned by this trajectory's insertions.
     pub search_stats: SearchStats,
 }
 
@@ -181,6 +182,10 @@ pub struct LocalUnit {
 /// so the result is independent of processing order and shard
 /// boundaries. Deletions run before insertions so freshly inserted
 /// occurrences are never re-deleted.
+///
+/// The edits scan the trajectory's own segments, so `_kind` and
+/// `_domain` are ignored: the release does not depend on the index.
+/// They stay in the signature only for existing callers.
 // The unit signature mirrors Algorithm 2's inputs one-to-one; bundling
 // them into a struct would only add indirection at every shard call.
 #[allow(clippy::too_many_arguments)]
@@ -189,15 +194,15 @@ pub fn local_unit_streamed(
     analysis: &FrequencyAnalysis,
     slot: usize,
     epsilon: f64,
-    kind: IndexKind,
+    _kind: IndexKind,
     opts: LocalOptions,
-    domain: Rect,
+    _domain: Rect,
     root_seed: u64,
 ) -> Result<LocalUnit, MechError> {
     let mut rng = stream_rng(root_seed, PHASE_LOCAL, slot as u64);
     let list = select_point_list(traj, analysis, slot, &mut rng);
     let plan = perturb_pf(traj, &list, analysis.m, epsilon, opts, &mut rng)?;
-    let mut editor = TrajectoryEditor::new(traj.clone(), kind, domain);
+    let mut editor = TrajectoryEditor::new(traj.clone());
     for &(p, f, f_star) in &plan.entries {
         if (f_star as usize) < f {
             editor.delete_occurrences(p, f - f_star as usize);

@@ -38,7 +38,8 @@ pub struct FreqDpConfig {
     pub eps_global: f64,
     /// Budget of the local mechanism, ε_L.
     pub eps_local: f64,
-    /// Index used by the modification phase.
+    /// Index used by the global modification phase. The local mechanism
+    /// scans each trajectory's own segments and ignores it.
     pub index: IndexKind,
     /// Local-mechanism ablation switches.
     pub local_opts: LocalOptions,

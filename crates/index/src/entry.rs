@@ -5,9 +5,8 @@ use trajdp_model::Segment;
 
 /// A segment registered in an index, tagged with an opaque payload id.
 ///
-/// Callers encode whatever they need in `id` — the core crate packs
-/// `(trajectory slot, segment position)` for inter-trajectory search and
-/// a plain segment position for intra-trajectory search.
+/// Callers encode whatever they need in `id` — the core crate's dataset
+/// editor hands out dense ids and maps each to its trajectory slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentEntry {
     /// Opaque payload identifying the segment to the caller.

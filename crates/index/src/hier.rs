@@ -27,7 +27,9 @@ use std::collections::BinaryHeap;
 use trajdp_model::{CellId, GridLevel, Point, Rect};
 
 /// Which traversal order a KNN search uses. All strategies return the
-/// same (exact) results.
+/// same (exact) K nearest distances. When several segments lie at the
+/// same distance, the visit order decides which of them fill the last
+/// slots, so the ids returned on such a tie may differ by strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Best-first from the root (`HGt` in Figure 5).

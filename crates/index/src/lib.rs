@@ -15,9 +15,10 @@
 //!   (`HGt`), bottom-up (`HGb`), or with the novel bottom-up-down
 //!   strategy of Algorithm 3 (`HG+`).
 //!
-//! All searches return exact K-nearest results; the strategies differ
-//! only in pruning power, which [`SearchStats`] exposes for the
-//! efficiency experiments.
+//! All searches return exact K-nearest distances; the strategies differ
+//! in pruning power, which [`SearchStats`] exposes for the efficiency
+//! experiments, and in visit order, which decides which of several
+//! equal-distance segments fill the last of the K slots.
 //!
 //! The grid maps hash through [`GridHasher`], a fixed multiplicative
 //! hasher for their small integer keys (cell coordinates and dense

@@ -10,6 +10,7 @@ use crate::dataset::Dataset;
 use crate::error::ModelError;
 use crate::geometry::Point;
 use crate::trajectory::{Sample, TrajId, Trajectory};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Header line written by [`to_csv`] and required by [`from_csv`].
@@ -42,6 +43,9 @@ pub fn from_csv(text: &str) -> Result<Dataset, ModelError> {
         None => return Err(ModelError::Truncated { context: "csv header" }),
     }
     let mut trajectories: Vec<Trajectory> = Vec::new();
+    // Ids of the finished blocks: a new block with one of these ids is
+    // a trajectory split in two.
+    let mut finished: HashSet<TrajId> = HashSet::new();
     let mut current: Option<(TrajId, Vec<Sample>)> = None;
     for (lineno, line) in lines.enumerate() {
         let line = line.trim();
@@ -77,11 +81,12 @@ pub fn from_csv(text: &str) -> Result<Dataset, ModelError> {
             }
             _ => {
                 if let Some((done_id, samples)) = current.take() {
-                    if trajectories.iter().any(|tr| tr.id == id) {
+                    if finished.contains(&id) {
                         return Err(ModelError::Invalid {
                             reason: format!("trajectory {id} appears in two separate blocks"),
                         });
                     }
+                    finished.insert(done_id);
                     trajectories.push(Trajectory::new(done_id, samples));
                 }
                 current = Some((id, vec![sample]));
@@ -166,6 +171,41 @@ mod tests {
         let text = "traj_id,x,y,t\n1,0.0,0.0,0\n2,1.0,1.0,0\n1,2.0,2.0,5\n";
         let err = from_csv(text).unwrap_err();
         assert!(matches!(err, ModelError::Invalid { .. }));
+        // A repeat of any earlier block, not only the one just closed.
+        let text = "traj_id,x,y,t\n7,0,0,0\n8,0,0,0\n9,0,0,0\n8,0,0,1\n";
+        match from_csv(text) {
+            Err(ModelError::Invalid { reason }) => {
+                assert_eq!(reason, "trajectory 8 appears in two separate blocks");
+            }
+            other => panic!("expected a split-block error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn many_blocks_parse_in_near_linear_time() {
+        // n single-sample trajectories: 8× as many blocks must take
+        // about 8× as long, where comparing each block start with every
+        // finished block would take about 64×. Best of five keeps
+        // scheduler noise out of the ratio.
+        let best = |n: usize| {
+            let mut text = String::from("traj_id,x,y,t\n");
+            for id in 0..n {
+                writeln!(text, "{id},{}.5,2.25,{id}", id % 1000).unwrap();
+            }
+            assert_eq!(from_csv(&text).unwrap().len(), n);
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    from_csv(&text).unwrap();
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let short = best(5_000);
+        let long = best(40_000);
+        let ratio = long.as_secs_f64() / short.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "8x as many blocks took {ratio:.1}x as long to parse");
     }
 
     #[test]

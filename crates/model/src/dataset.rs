@@ -67,19 +67,18 @@ impl Dataset {
         self.trajectories.iter().filter(|t| t.passes_through(q)).count()
     }
 
-    /// TF of every distinct location in the dataset in one pass.
+    /// TF of every distinct location in the dataset in one pass. Each
+    /// trajectory's keys are sorted and deduplicated, so a trajectory of
+    /// n samples costs O(n log n).
     pub fn tf_table(&self) -> HashMap<PointKey, usize> {
         let mut tf: HashMap<PointKey, usize> = HashMap::new();
-        let mut seen: Vec<PointKey> = Vec::new();
+        let mut keys: Vec<PointKey> = Vec::new();
         for t in &self.trajectories {
-            seen.clear();
-            for s in &t.samples {
-                let k = s.loc.key();
-                if !seen.contains(&k) {
-                    seen.push(k);
-                }
-            }
-            for &k in &seen {
+            keys.clear();
+            keys.extend(t.samples.iter().map(|s| s.loc.key()));
+            keys.sort_unstable();
+            keys.dedup();
+            for &k in &keys {
                 *tf.entry(k).or_insert(0) += 1;
             }
         }
@@ -171,6 +170,33 @@ mod tests {
             assert_eq!(table[&p.key()], d.trajectory_frequency(p.key()), "TF mismatch at {p:?}");
         }
         assert_eq!(table.len(), d.distinct_points().len());
+    }
+
+    #[test]
+    fn tf_table_runs_in_near_linear_time() {
+        // One trajectory of n distinct points: an 8× longer one must take
+        // about 8× as long, where a per-point scan of the points seen so
+        // far would take about 64×. Best of five keeps scheduler noise
+        // out of the ratio.
+        let best = |n: usize| {
+            let samples: Vec<Sample> = (0..n)
+                .map(|i| Sample::new(Point::new(i as f64, (i % 97) as f64), i as i64))
+                .collect();
+            let d = Dataset::from_trajectories(vec![Trajectory::new(0, samples)]);
+            assert_eq!(d.tf_table().len(), n);
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    d.tf_table();
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let short = best(5_000);
+        let long = best(40_000);
+        let ratio = long.as_secs_f64() / short.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "an 8x longer trajectory took {ratio:.1}x as long");
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! so the released CSV must be **byte-identical** at every worker count,
 //! for every model, on realistic synthetic data. The global
 //! modification phase runs on one thread, so even its search counters
-//! must not move with the worker count.
+//! must not move with the worker count. Nor may the release depend on
+//! the index kind or on bbox pruning: the global phase breaks every tie
+//! by slot and the local mechanism scans each trajectory's own
+//! segments, so neither ever sees an index's visit order.
 
-use traj_freq_dp::core::{anonymize, FreqDpConfig, Model};
+use traj_freq_dp::core::{anonymize, FreqDpConfig, IndexKind, Model};
+use traj_freq_dp::index::Strategy;
 use traj_freq_dp::model::csv::to_csv;
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
@@ -89,4 +93,33 @@ fn different_seeds_still_differ_in_parallel() {
         to_csv(&anonymize(&world.dataset, Model::Combined, &cfg).unwrap().dataset)
     };
     assert_ne!(run(1), run(2));
+}
+
+#[test]
+fn release_does_not_depend_on_the_index_kind() {
+    let world = generate(&GeneratorConfig::tdrive_profile(25, 50, 37));
+    let kinds = [
+        IndexKind::Linear,
+        IndexKind::Uniform(64),
+        IndexKind::Hier(512, Strategy::TopDown),
+        IndexKind::Hier(512, Strategy::BottomUp),
+        IndexKind::Hier(512, Strategy::BottomUpDown),
+        IndexKind::Hier(64, Strategy::BottomUpDown),
+    ];
+    for model in [Model::PureGlobal, Model::PureLocal, Model::Combined, Model::CombinedLocalFirst] {
+        let release = |index: IndexKind, bbox_pruning: bool| {
+            let cfg =
+                FreqDpConfig { m: 5, seed: 0x1DE7, index, bbox_pruning, ..Default::default() };
+            to_csv(&anonymize(&world.dataset, model, &cfg).unwrap().dataset)
+        };
+        let reference = release(IndexKind::Linear, false);
+        for index in kinds {
+            for bbox_pruning in [false, true] {
+                assert!(
+                    release(index, bbox_pruning) == reference,
+                    "{model:?} with {index:?}, bbox_pruning={bbox_pruning} differs from Linear"
+                );
+            }
+        }
+    }
 }
