@@ -356,9 +356,10 @@ impl DatasetEditor {
             // Neighbors arrive sorted by distance, so a trajectory's
             // first hit is its nearest reported segment.
             let mut scored = singles.clone();
+            let mut is_scored = vec![false; self.trajs.len()];
             for n in &neighbors {
                 let t = self.owner[n.id as usize];
-                if !scored.iter().any(|&(_, s)| s == t) {
+                if !std::mem::replace(&mut is_scored[t], true) {
                     scored.push((n.dist, t));
                 }
             }
@@ -763,6 +764,38 @@ mod tests {
         assert_eq!(n, 3, "cannot insert into more trajectories than exist");
         ed.check_invariants();
         assert_eq!(ed.tf(q.key()), 3);
+    }
+
+    #[test]
+    fn increase_tf_runs_in_near_linear_time_when_delta_nears_the_dataset() {
+        // A tiny ε_G drives ∆l toward |D|, so the search reports k = 4∆l
+        // neighbours: an 8× larger dataset must take about 8× as long,
+        // where a per-neighbour scan of the trajectories scored so far
+        // would take about 64×. Best of five keeps scheduler noise out
+        // of the ratio.
+        let best = |n: usize| {
+            (0..5)
+                .map(|_| {
+                    let trajs = (0..n)
+                        .map(|i| {
+                            let (x, y) = ((i * 7919 % 1000) as f64, (i * 104_729 % 997) as f64);
+                            let zigzag: Vec<(f64, f64)> =
+                                (0..5).map(|j| (x + j as f64, y + (j % 2) as f64)).collect();
+                            traj(i as u64, &zigzag)
+                        })
+                        .collect();
+                    let mut ed = DatasetEditor::new(trajs, IndexKind::default(), domain());
+                    let started = std::time::Instant::now();
+                    assert_eq!(ed.increase_tf(Point::new(500.5, 500.5), n), n);
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let small = best(3_000);
+        let large = best(24_000);
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "an 8x larger dataset took {ratio:.1}x as long");
     }
 
     #[test]

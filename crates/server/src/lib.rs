@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`api`] | stable error codes ([`api::ErrorCode`]/[`api::ApiError`]), the typed [`api::Response`] model, and the versioned wire envelope with centralized serialization |
 //! | [`json`] | serde-free JSON value, parser, single-line writer |
-//! | [`protocol`] | request parsing + the handlers behind each verb |
+//! | [`protocol`] | request parsing, the one reader and validator of the anonymize parameters (wire, journal replay and the `trajdp` CLI), and the handlers behind each verb, which the CLI's `anonymize`/`evaluate` also run |
 //! | [`store`] | chunked-transfer dataset handles (`ds-<id>`), optionally persisted, with delete/LRU/TTL lifecycle and job pinning |
 //! | [`jobs`] | job queue with ids, per-job status, and a durable, compacting JSON-lines journal |
 //! | [`ledger`] | tenancy + privacy budget: the tenant registry (`--tenants`), per-tenant quotas, and the per-dataset ε accumulator |

@@ -134,6 +134,51 @@ pub struct AnonymizeParams {
 }
 
 impl AnonymizeParams {
+    /// Reads the anonymize members of `v`, absent ones taking their
+    /// defaults, and validates them. This is the one reader of the
+    /// anonymize parameters: a wire request, a journaled spec and the
+    /// CLI's flags all go through it, so they share one set of defaults,
+    /// checks and error texts.
+    pub fn from_json(v: &Json) -> Result<Self, ApiError> {
+        AnonymizeParams {
+            model: parse_model(get_str(v, "model")?)?,
+            epsilon: get_f64(v, "epsilon", 1.0)?,
+            eps_split: get_f64(v, "eps_split", 0.5)?,
+            m: get_u64(v, "m", 10)? as usize,
+            seed: get_u64(v, "seed", 42)?,
+            workers: get_u64(v, "workers", 1)? as usize,
+            store_result: get_bool(v, "store", false)?,
+            data: get_data_ref(v, "csv", "dataset")?,
+        }
+        .validate()
+    }
+
+    /// The one validation step of the anonymize parameters: ε finite
+    /// and positive, `eps_split` strictly inside (0, 1), `m` in
+    /// `[1, MAX_M]` (zero would trip the frequency analysis's own
+    /// assertion) and `workers` in `[1, MAX_WORKERS]`.
+    fn validate(self) -> Result<Self, ApiError> {
+        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
+            return Err(ApiError::bad_request("epsilon must be positive"));
+        }
+        let split = self.eps_split;
+        if !(split.is_finite() && split > 0.0 && split < 1.0) {
+            return Err(ApiError::bad_request(format!(
+                "--eps-split must lie in (0, 1), got {split}"
+            )));
+        }
+        if self.m == 0 || self.m as u64 > MAX_M {
+            return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
+        }
+        if self.workers == 0 {
+            return Err(ApiError::bad_request("workers must be at least 1"));
+        }
+        if self.workers as u64 > MAX_WORKERS {
+            return Err(ApiError::bad_request(format!("workers must not exceed {MAX_WORKERS}")));
+        }
+        Ok(self)
+    }
+
     /// Resolves the dataset reference against the store. A handle-based
     /// run is byte-identical to the inline run because both paths feed
     /// the exact same CSV text to the pipeline.
@@ -293,49 +338,6 @@ pub fn parse_model(name: &str) -> Result<Model, ApiError> {
         "gl" => Ok(Model::Combined),
         "lg" => Ok(Model::CombinedLocalFirst),
         other => Err(ApiError::bad_request(format!("unknown model {other:?} (pureg|purel|gl|lg)"))),
-    }
-}
-
-/// Validates an ε-split fraction: must lie strictly inside (0, 1).
-pub fn validate_eps_split(split: f64) -> Result<f64, ApiError> {
-    if split.is_finite() && split > 0.0 && split < 1.0 {
-        Ok(split)
-    } else {
-        Err(ApiError::bad_request(format!("--eps-split must lie in (0, 1), got {split}")))
-    }
-}
-
-/// Validates a total privacy budget ε: must be finite and positive.
-pub fn validate_epsilon(epsilon: f64) -> Result<f64, ApiError> {
-    if epsilon.is_finite() && epsilon > 0.0 {
-        Ok(epsilon)
-    } else {
-        Err(ApiError::bad_request("epsilon must be positive"))
-    }
-}
-
-/// Validates a signature size `m`: must lie in `[1, MAX_M]`. Zero would
-/// trip the frequency analysis's own assertion, so it is rejected here
-/// as a request error instead.
-pub fn validate_m(m: u64) -> Result<usize, ApiError> {
-    if m == 0 || m > MAX_M {
-        Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")))
-    } else {
-        Ok(m as usize)
-    }
-}
-
-/// Validates a worker-thread count at the CLI/protocol boundary: must
-/// lie in `[1, MAX_WORKERS]`. A zero count used to be clamped silently
-/// deep inside the chunking helper; rejecting it here keeps the
-/// contract visible, mirroring [`validate_eps_split`].
-pub fn validate_workers(workers: u64) -> Result<usize, ApiError> {
-    if workers == 0 {
-        Err(ApiError::bad_request("workers must be at least 1"))
-    } else if workers > MAX_WORKERS {
-        Err(ApiError::bad_request(format!("workers must not exceed {MAX_WORKERS}")))
-    } else {
-        Ok(workers as usize)
     }
 }
 
@@ -530,23 +532,8 @@ fn parse_verb(v: &Json) -> Result<Request, ApiError> {
                     "store",
                 ],
             )?;
-            let model = parse_model(get_str(v, "model")?)?;
-            let epsilon = validate_epsilon(get_f64(v, "epsilon", 1.0)?)?;
-            let eps_split = validate_eps_split(get_f64(v, "eps_split", 0.5)?)?;
-            let m = validate_m(get_u64(v, "m", 10)?)?;
-            let workers = validate_workers(get_u64(v, "workers", 1)?)?;
-            let params = AnonymizeParams {
-                model,
-                epsilon,
-                eps_split,
-                m,
-                seed: get_u64(v, "seed", 42)?,
-                workers,
-                store_result: get_bool(v, "store", false)?,
-                data: get_data_ref(v, "csv", "dataset")?,
-            };
-            let asynchronous = get_bool(v, "async", false)?;
-            Ok(Request::Anonymize { params, asynchronous })
+            let params = AnonymizeParams::from_json(v)?;
+            Ok(Request::Anonymize { params, asynchronous: get_bool(v, "async", false)? })
         }
         "evaluate" => {
             check_members(
@@ -668,37 +655,14 @@ pub fn spec_to_json(spec: &AnonymizeSpec) -> Json {
 /// never touches the store, so deleting its input after it finished
 /// cannot brick replay.
 pub fn spec_from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
-    let require = |key: &str| {
-        v.get(key).ok_or_else(|| {
-            ApiError::bad_request(format!("journaled spec is missing member {key:?}"))
-        })
-    };
-    let want = |msg: &str| ApiError::bad_request(msg);
-    let model = parse_model(get_str(v, "model")?)?;
-    let epsilon = validate_epsilon(
-        require("epsilon")?.as_f64().ok_or_else(|| want("epsilon must be a number"))?,
-    )?;
-    let eps_split = validate_eps_split(
-        require("eps_split")?.as_f64().ok_or_else(|| want("eps_split must be a number"))?,
-    )?;
-    let m = validate_m(
-        require("m")?.as_u64().ok_or_else(|| want("m must be a non-negative integer"))?,
-    )?;
-    let workers = validate_workers(
-        require("workers")?.as_u64().ok_or_else(|| want("workers must be an integer"))?,
-    )?;
-    Ok(AnonymizeParams {
-        model,
-        epsilon,
-        eps_split,
-        m,
-        seed: require("seed")?
-            .as_u64()
-            .ok_or_else(|| want("seed must be a non-negative integer"))?,
-        workers,
-        store_result: require("store")?.as_bool().ok_or_else(|| want("store must be a boolean"))?,
-        data: get_data_ref(v, "csv", "dataset")?,
-    })
+    // Unlike a live request, a journaled spec records every member, so
+    // a missing one means a damaged journal, never a default.
+    for key in ["model", "epsilon", "eps_split", "m", "seed", "workers", "store"] {
+        if v.get(key).is_none() {
+            return Err(ApiError::bad_request(format!("journaled spec is missing member {key:?}")));
+        }
+    }
+    AnonymizeParams::from_json(v)
 }
 
 /// Moves an inline result payload of a `gen`/`anonymize` response into
@@ -1044,14 +1008,28 @@ mod tests {
         assert_eq!(resolved.csv, spec.csv);
         assert_eq!(resolved.source, Some(handle));
         // Tampered journals fail re-validation.
-        let mut bad = match spec_to_json(&spec) {
+        let journaled = match spec_to_json(&spec) {
             Json::Obj(m) => m,
             _ => unreachable!(),
         };
+        let mut bad = journaled.clone();
         bad.insert("workers".to_string(), Json::from(0u64));
-        assert!(spec_from_json(&Json::Obj(bad.clone())).is_err());
-        bad.remove("workers");
-        assert!(spec_from_json(&Json::Obj(bad)).unwrap_err().message.contains("workers"));
+        assert!(spec_from_json(&Json::Obj(bad)).is_err());
+        // Every journaled member is required, and one of the wrong type
+        // is refused; either way the error names the member.
+        for key in ["model", "epsilon", "eps_split", "m", "seed", "workers", "store"] {
+            let mut dropped = journaled.clone();
+            dropped.remove(key);
+            let err = spec_from_json(&Json::Obj(dropped)).unwrap_err();
+            assert_eq!(err.message, format!("journaled spec is missing member {key:?}"));
+            let mut mistyped = journaled.clone();
+            mistyped.insert(key.to_string(), Json::Null);
+            let err = spec_from_json(&Json::Obj(mistyped)).unwrap_err().message;
+            assert!(
+                err.starts_with(&format!("{key} must be")) || err.contains(&format!("{key:?}")),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1119,32 +1097,42 @@ mod tests {
             .contains("2^53"));
     }
 
+    /// The parameters read from `members` plus a model and an inline
+    /// dataset.
+    fn read(members: &[(&'static str, Json)]) -> Result<AnonymizeParams, ApiError> {
+        let base = [("model", Json::from("gl")), ("csv", Json::from(""))];
+        AnonymizeParams::from_json(&Json::obj(base.into_iter().chain(members.iter().cloned())))
+    }
+
     #[test]
     fn eps_split_validation_bounds() {
-        assert!(validate_eps_split(0.5).is_ok());
-        assert!(validate_eps_split(1e-9).is_ok());
-        assert!(validate_eps_split(0.0).is_err());
-        assert!(validate_eps_split(1.0).is_err());
-        assert!(validate_eps_split(-0.1).is_err());
-        assert!(validate_eps_split(f64::NAN).is_err());
+        let split = |x: f64| read(&[("eps_split", Json::from(x))]);
+        assert_eq!(split(0.5).unwrap().eps_split, 0.5);
+        assert_eq!(split(1e-9).unwrap().eps_split, 1e-9);
+        for bad in [0.0, 1.0, -0.1, f64::NAN] {
+            assert!(split(bad).unwrap_err().message.contains("must lie in (0, 1)"), "{bad}");
+        }
         // The total budget it splits: finite and strictly positive.
-        assert_eq!(validate_epsilon(1e-9), Ok(1e-9));
+        assert_eq!(read(&[("epsilon", Json::from(1e-9))]).unwrap().epsilon, 1e-9);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(validate_epsilon(bad).unwrap_err().message, "epsilon must be positive");
+            let err = read(&[("epsilon", Json::from(bad))]).unwrap_err();
+            assert_eq!(err.message, "epsilon must be positive");
         }
     }
 
     #[test]
     fn workers_validation_bounds() {
-        assert_eq!(validate_workers(1), Ok(1));
-        assert_eq!(validate_workers(MAX_WORKERS), Ok(MAX_WORKERS as usize));
-        assert!(validate_workers(0).unwrap_err().message.contains("at least 1"));
-        assert!(validate_workers(MAX_WORKERS + 1).unwrap_err().message.contains("exceed"));
+        let workers = |n: u64| read(&[("workers", Json::from(n))]);
+        assert_eq!(workers(1).unwrap().workers, 1);
+        assert_eq!(workers(MAX_WORKERS).unwrap().workers, MAX_WORKERS as usize);
+        assert!(workers(0).unwrap_err().message.contains("at least 1"));
+        assert!(workers(MAX_WORKERS + 1).unwrap_err().message.contains("exceed"));
         // The signature size shares the shape: [1, MAX_M], zero refused.
-        assert_eq!(validate_m(1), Ok(1));
-        assert_eq!(validate_m(MAX_M), Ok(MAX_M as usize));
+        let m = |n: u64| read(&[("m", Json::from(n))]);
+        assert_eq!(m(1).unwrap().m, 1);
+        assert_eq!(m(MAX_M).unwrap().m, MAX_M as usize);
         for bad in [0, MAX_M + 1] {
-            assert_eq!(validate_m(bad).unwrap_err().message, "m must lie in [1, 100000]");
+            assert_eq!(m(bad).unwrap_err().message, "m must lie in [1, 100000]");
         }
         // Zero workers in a request must error, not clamp silently.
         assert!(parse_request(r#"{"cmd":"anonymize","model":"gl","workers":0,"csv":""}"#)

@@ -38,18 +38,16 @@
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::process::ExitCode;
-use traj_freq_dp::core::{anonymize, FreqDpConfig};
-use traj_freq_dp::metrics::{
-    diameter_divergence, frequent_pattern_f1, information_loss, mutual_information, trip_divergence,
-};
 use traj_freq_dp::model::csv::{from_csv, to_csv};
 use traj_freq_dp::model::stats::DatasetStats;
 use traj_freq_dp::model::Dataset;
-use traj_freq_dp::server::api::{ApiError, ErrorCode};
+use traj_freq_dp::server::api::{ApiError, ErrorCode, Payload, Response};
 use traj_freq_dp::server::protocol::{
-    budget_split, parse_model, validate_eps_split, validate_epsilon, validate_m, validate_workers,
+    run_anonymize, run_evaluate, AnonymizeParams, DataRef, MAX_WORKERS,
 };
-use traj_freq_dp::server::{init_logger, Client, LogLevel, Server, ServerConfig};
+use traj_freq_dp::server::{
+    init_logger, Client, DatasetStore, Json, LogLevel, Server, ServerConfig,
+};
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
 /// A classified CLI failure; each class maps to a documented exit code.
@@ -110,6 +108,13 @@ impl From<ApiError> for CliError {
 /// not an API failure.
 fn usage(e: ApiError) -> CliError {
     CliError::Usage(e.message)
+}
+
+/// Maps a handler failure on local files to a local failure (exit 1):
+/// without a server in the loop it is never an API rejection. `files`
+/// names the input the handler read.
+fn local(files: &str) -> impl FnOnce(ApiError) -> CliError + '_ {
+    move |e| CliError::Other(format!("{files}: {}", e.message))
 }
 
 /// Writes `text` to stdout, the one way the CLI prints results. A
@@ -259,15 +264,62 @@ fn required<'a>(flags: &Flags<'a>, name: &str) -> Result<&'a str, CliError> {
     opt(flags, name).ok_or_else(|| CliError::Usage(format!("missing required --{name}")))
 }
 
-fn load(path: &str) -> Result<Dataset, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Other(format!("cannot read {path}: {e}")))?;
-    from_csv(&text).map_err(|e| CliError::Other(format!("cannot parse {path}: {e}")))
+/// The value of `--name` when given: it must parse and satisfy `ok`,
+/// else a usage error saying it must be `what`.
+fn checked<T: std::str::FromStr>(
+    flags: &Flags,
+    name: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<Option<T>, CliError> {
+    let Some(v) = opt(flags, name) else { return Ok(None) };
+    let value: T = v.parse().map_err(|_| CliError::Usage(format!("invalid --{name}: {v:?}")))?;
+    if ok(&value) {
+        Ok(Some(value))
+    } else {
+        Err(CliError::Usage(format!("--{name} must be {what}")))
+    }
 }
 
-fn save(path: &str, ds: &Dataset) -> Result<(), CliError> {
-    std::fs::write(path, to_csv(ds))
-        .map_err(|e| CliError::Other(format!("cannot write {path}: {e}")))
+/// The `anonymize` flags, each with the wire member it sets.
+const ANONYMIZE_FLAGS: [(&str, &str); 6] = [
+    ("model", "model"),
+    ("epsilon", "epsilon"),
+    ("eps-split", "eps_split"),
+    ("m", "m"),
+    ("seed", "seed"),
+    ("parallel", "workers"),
+];
+
+/// Reads the `anonymize` flags with the protocol's own reader,
+/// [`AnonymizeParams::from_json`]: each flag becomes its wire member, a
+/// number when its value parses as one and a string otherwise, so a
+/// flag and its member share one default, one check and one error
+/// text. The dataset is left empty, to be read once the flags pass.
+fn anonymize_params(flags: &Flags) -> Result<AnonymizeParams, CliError> {
+    let mut members = vec![("csv", Json::from(""))];
+    for (flag, member) in ANONYMIZE_FLAGS {
+        if let Some(v) = opt(flags, flag) {
+            let value = match v.parse::<f64>() {
+                Ok(x) if member != "model" => Json::from(x),
+                _ => Json::from(v),
+            };
+            members.push((member, value));
+        }
+    }
+    AnonymizeParams::from_json(&Json::obj(members)).map_err(usage)
+}
+
+fn read(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Other(format!("cannot read {path}: {e}")))
+}
+
+fn load(path: &str) -> Result<Dataset, CliError> {
+    from_csv(&read(path)?).map_err(|e| CliError::Other(format!("cannot parse {path}: {e}")))
+}
+
+fn save(path: &str, csv: &str) -> Result<(), CliError> {
+    std::fs::write(path, csv).map_err(|e| CliError::Other(format!("cannot write {path}: {e}")))
 }
 
 fn connect(addr: &str) -> Result<Client, CliError> {
@@ -296,7 +348,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let seed = opt_parse(&flags, "seed", 42u64)?;
             let out = required(&flags, "out")?;
             let world = generate(&GeneratorConfig::tdrive_profile(size, len, seed));
-            save(out, &world.dataset)?;
+            save(out, &to_csv(&world.dataset))?;
             let stats = DatasetStats::compute(&world.dataset);
             eprintln!(
                 "wrote {out}: {} trajectories, {} points, {} distinct locations",
@@ -305,57 +357,45 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "anonymize" => {
-            let flags = parse_flags(
-                cmd,
-                rest,
-                &["model", "epsilon", "eps-split", "m", "seed", "parallel", "input", "out"],
-            )?;
-            let model = parse_model(required(&flags, "model")?).map_err(usage)?;
-            let epsilon = validate_epsilon(opt_parse(&flags, "epsilon", 1.0f64)?).map_err(usage)?;
-            let eps_split =
-                validate_eps_split(opt_parse(&flags, "eps-split", 0.5f64)?).map_err(usage)?;
-            let m = validate_m(opt_parse(&flags, "m", 10u64)?).map_err(usage)?;
-            let seed = opt_parse(&flags, "seed", 42u64)?;
-            let parallel = validate_workers(opt_parse(&flags, "parallel", 1u64)?)
-                .map_err(|e| CliError::Usage(format!("--parallel: {e}")))?;
+            let accepted: Vec<&str> =
+                ANONYMIZE_FLAGS.iter().map(|&(flag, _)| flag).chain(["input", "out"]).collect();
+            let flags = parse_flags(cmd, rest, &accepted)?;
+            let params = anonymize_params(&flags)?;
             let input = required(&flags, "input")?;
             let out = required(&flags, "out")?;
-            let ds = load(input)?;
-            // Pure models spend the full ε on their single mechanism;
-            // combined models split it by --eps-split (global share).
-            let (eps_global, eps_local) = budget_split(model, epsilon, eps_split);
-            let cfg = FreqDpConfig {
-                m,
-                eps_global,
-                eps_local,
-                seed,
-                workers: parallel,
-                ..Default::default()
+            let params = AnonymizeParams { data: DataRef::Inline(read(input)?), ..params };
+            let spec = params.resolve(&DatasetStore::new()).map_err(local(input))?;
+            let released = run_anonymize(&spec).map_err(local(input))?;
+            // PANIC: `run_anonymize` answers only with an inline release.
+            let Response::Anonymize {
+                data: Payload::Inline(csv),
+                epsilon_spent,
+                edits,
+                utility_loss,
+                ..
+            } = released
+            else {
+                unreachable!()
             };
-            let result = anonymize(&ds, model, &cfg).map_err(|e| CliError::Other(e.to_string()))?;
-            save(out, &result.dataset)?;
+            save(out, &csv)?;
             eprintln!(
-                "wrote {out}: ε spent = {}, edits = {}, utility loss = {:.1} m",
-                result.epsilon_spent,
-                result.total_edits(),
-                result.utility_loss()
+                "wrote {out}: ε spent = {epsilon_spent}, edits = {edits}, utility loss = {utility_loss:.1} m"
             );
             Ok(())
         }
         "evaluate" => {
             let flags = parse_flags(cmd, rest, &["original", "anonymized"])?;
-            let original = load(required(&flags, "original")?)?;
-            let anonymized = load(required(&flags, "anonymized")?)?;
-            if original.len() != anonymized.len() {
-                return Err(CliError::Other(
-                    "datasets must contain the same number of trajectories".into(),
-                ));
-            }
-            outln!("MI  = {:.4}", mutual_information(&original, &anonymized, 64));
-            outln!("INF = {:.4}", information_loss(&original, &anonymized));
-            outln!("DE  = {:.4}", diameter_divergence(&original, &anonymized, 24));
-            outln!("TE  = {:.4}", trip_divergence(&original, &anonymized, 16));
-            outln!("FFP = {:.4}", frequent_pattern_f1(&original, &anonymized, 64, 2, 200));
+            let original = required(&flags, "original")?;
+            let anonymized = required(&flags, "anonymized")?;
+            let scores = run_evaluate(&read(original)?, &read(anonymized)?)
+                .map_err(local(&format!("{original} vs {anonymized}")))?;
+            // PANIC: `run_evaluate` answers only with the five scores.
+            let Response::Evaluate { mi, inf, de, te, ffp } = scores else { unreachable!() };
+            outln!("MI  = {mi:.4}");
+            outln!("INF = {inf:.4}");
+            outln!("DE  = {de:.4}");
+            outln!("TE  = {te:.4}");
+            outln!("FFP = {ffp:.4}");
             Ok(())
         }
         "stats" => {
@@ -398,66 +438,28 @@ fn run(args: &[String]) -> Result<(), CliError> {
             };
             init_logger(log_level, log_json);
             let addr = opt(&flags, "addr").unwrap_or("127.0.0.1:7878").to_string();
-            let workers = validate_workers(opt_parse(&flags, "workers", 2u64)?)
-                .map_err(|e| CliError::Usage(format!("--workers: {e}")))?;
-            let max_connections = opt_parse(&flags, "max-conn", 1024usize)?;
-            if max_connections == 0 {
-                return Err(CliError::Usage("--max-conn must be at least 1".into()));
-            }
-            let read_timeout_secs = opt_parse(&flags, "read-timeout", 10u64)?;
-            if read_timeout_secs == 0 {
-                return Err(CliError::Usage("--read-timeout must be at least 1 second".into()));
-            }
+            let workers_cap = format!("at least 1 and at most {MAX_WORKERS}");
+            let workers = checked(&flags, "workers", &workers_cap, |&n: &usize| {
+                (1..=MAX_WORKERS as usize).contains(&n)
+            })?
+            .unwrap_or(2);
+            let at_least_one = |&n: &usize| n > 0;
+            let max_connections =
+                checked(&flags, "max-conn", "at least 1", at_least_one)?.unwrap_or(1024);
+            let read_timeout_secs =
+                checked(&flags, "read-timeout", "at least 1 second", |&s: &u64| s > 0)?
+                    .unwrap_or(10);
             let state_dir = opt(&flags, "state-dir").map(std::path::PathBuf::from);
-            let max_datasets = opt_parse(
-                &flags,
-                "max-datasets",
-                traj_freq_dp::server::store::MAX_STORED_DATASETS,
-            )?;
-            if max_datasets == 0 {
-                return Err(CliError::Usage("--max-datasets must be at least 1".into()));
-            }
-            let dataset_ttl = match opt(&flags, "dataset-ttl") {
-                None => None,
-                Some(v) => {
-                    let secs: u64 = v
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("invalid --dataset-ttl: {v:?}")))?;
-                    if secs == 0 {
-                        return Err(CliError::Usage(
-                            "--dataset-ttl must be at least 1 second".into(),
-                        ));
-                    }
-                    Some(std::time::Duration::from_secs(secs))
-                }
-            };
+            let max_datasets = checked(&flags, "max-datasets", "at least 1", at_least_one)?
+                .unwrap_or(traj_freq_dp::server::store::MAX_STORED_DATASETS);
+            let dataset_ttl =
+                checked(&flags, "dataset-ttl", "at least 1 second", |&s: &u64| s > 0)?
+                    .map(std::time::Duration::from_secs);
             let tenants = opt(&flags, "tenants").map(std::path::PathBuf::from);
-            let eps_budget = match opt(&flags, "eps-budget") {
-                None => None,
-                Some(v) => {
-                    let eps: f64 = v
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("invalid --eps-budget: {v:?}")))?;
-                    if !eps.is_finite() || eps <= 0.0 {
-                        return Err(CliError::Usage(
-                            "--eps-budget must be a positive number".into(),
-                        ));
-                    }
-                    Some(eps)
-                }
-            };
-            let max_queue = match opt(&flags, "max-queue") {
-                None => None,
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("invalid --max-queue: {v:?}")))?;
-                    if n == 0 {
-                        return Err(CliError::Usage("--max-queue must be at least 1".into()));
-                    }
-                    Some(n)
-                }
-            };
+            let eps_budget = checked(&flags, "eps-budget", "a positive number", |&e: &f64| {
+                e.is_finite() && e > 0.0
+            })?;
+            let max_queue = checked(&flags, "max-queue", "at least 1", at_least_one)?;
             let durable = state_dir.is_some();
             let server = Server::start(ServerConfig {
                 addr,
@@ -489,20 +491,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let flags =
                 parse_flags(cmd, rest, &["addr", "file", "data", "chunk-threshold", "tenant"])?;
             let addr = required(&flags, "addr")?;
-            let threshold = opt_parse(&flags, "chunk-threshold", CHUNK_THRESHOLD_BYTES)?;
-            if threshold == 0 {
-                return Err(CliError::Usage("--chunk-threshold must be at least 1".into()));
-            }
-            let data = match opt(&flags, "data") {
-                Some(path) => Some(
-                    std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Other(format!("cannot read {path}: {e}")))?,
-                ),
-                None => None,
-            };
+            let threshold = checked(&flags, "chunk-threshold", "at least 1", |&n: &usize| n > 0)?
+                .unwrap_or(CHUNK_THRESHOLD_BYTES);
+            let data = opt(&flags, "data").map(read).transpose()?;
             let request = match opt(&flags, "file") {
-                Some(path) => std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Other(format!("cannot read {path}: {e}")))?,
+                Some(path) => read(path)?,
                 None => {
                     let mut buf = String::new();
                     std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf)
@@ -531,8 +524,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let out = required(&flags, "out")?;
             let mut client = connect_as(addr, opt(&flags, "tenant"))?;
             let csv = client.download_dataset(dataset)?;
-            std::fs::write(out, &csv)
-                .map_err(|e| CliError::Other(format!("cannot write {out}: {e}")))?;
+            save(out, &csv)?;
             eprintln!("wrote {out}: {} bytes from {dataset}", csv.len());
             Ok(())
         }
@@ -763,6 +755,22 @@ mod tests {
         // Local failure: unreadable input file → 1.
         let err = run(&a(&["stats", "--input", "/definitely/not/a/file.csv"])).unwrap_err();
         assert_eq!(err.exit_code(), 1, "{err}");
+        // A handler failing on a local file is a local failure too, never
+        // an API rejection, and names the file.
+        let dir = std::env::temp_dir().join("trajdp-cli-classes-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let garbage = dir.join("garbage.csv");
+        std::fs::write(&garbage, "complete garbage\n").unwrap();
+        let g = garbage.to_str().unwrap();
+        for args in [
+            &["anonymize", "--model", "gl", "--input", g, "--out", "unused.csv"][..],
+            &["evaluate", "--original", g, "--anonymized", g],
+        ] {
+            let err = run(&a(args)).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{err}");
+            assert!(msg(err).contains(g));
+        }
+        std::fs::remove_dir_all(&dir).ok();
         // Api: a server that answers with an error code → 4 (and the
         // code is named in the message for stderr readers).
         let server = Server::start(ServerConfig::default()).unwrap();
@@ -896,7 +904,113 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(err.exit_code(), 2);
-        assert!(msg(err).contains("parallel"));
+        // `--parallel` sets the wire member `workers`, whose error text
+        // it shares.
+        assert_eq!(msg(err), "workers must be at least 1");
+    }
+
+    #[test]
+    fn cli_wire_and_journal_read_the_same_spec_or_error() {
+        use traj_freq_dp::server::json;
+        use traj_freq_dp::server::protocol::{
+            parse_request, spec_from_json, AnonymizeSpec, Request,
+        };
+        let csv = "traj_id,x,y,t\n0,1.0,2.0,3\n";
+        let store = DatasetStore::new();
+        let accepted: Vec<&str> =
+            ANONYMIZE_FLAGS.iter().map(|&(flag, _)| flag).chain(["input", "out"]).collect();
+        let member = |flag: &str| ANONYMIZE_FLAGS.iter().find(|&&(f, _)| f == flag).unwrap().1;
+        // A flag value as the JSON a wire client or the journal writes.
+        let wire_value = |flag: &str, v: &str| match flag {
+            "model" => Json::from(v),
+            _ => json::parse(v).unwrap(),
+        };
+
+        let cli = |flags: &[(&str, &str)]| -> Result<AnonymizeSpec, String> {
+            let mut args = vec!["anonymize".to_string()];
+            for (flag, v) in flags {
+                args.extend([format!("--{flag}"), v.to_string()]);
+            }
+            args.extend(a(&["--input", "/definitely/not/a/file.csv", "--out", "unused.csv"]));
+            let err = run(&args).unwrap_err();
+            match anonymize_params(&parse_flags("anonymize", &args[1..], &accepted).unwrap()) {
+                Ok(params) => {
+                    // A valid config gets as far as reading --input.
+                    assert_eq!(err.exit_code(), 1, "{flags:?}: {err}");
+                    let params = AnonymizeParams { data: DataRef::Inline(csv.into()), ..params };
+                    Ok(params.resolve(&store).unwrap())
+                }
+                Err(e) => {
+                    // A bad flag is a usage error before --input is read.
+                    assert_eq!(err.exit_code(), 2, "{flags:?}: {err}");
+                    let e = msg(e);
+                    assert_eq!(msg(err), e);
+                    Err(e)
+                }
+            }
+        };
+        let wire = |flags: &[(&str, &str)]| -> Result<AnonymizeSpec, String> {
+            let members = flags.iter().map(|&(f, v)| (member(f), wire_value(f, v)));
+            let line = Json::obj(
+                [("cmd", Json::from("anonymize")), ("csv", Json::from(csv))]
+                    .into_iter()
+                    .chain(members),
+            );
+            match parse_request(&line.to_string()).map_err(|e| e.message)? {
+                Request::Anonymize { params, .. } => Ok(params.resolve(&store).unwrap()),
+                other => panic!("wrong request {other:?}"),
+            }
+        };
+        // The journal records every member, so its base spells out the
+        // documented defaults the other two readers fill in.
+        let journal = |flags: &[(&str, &str)]| -> Result<AnonymizeSpec, String> {
+            let defaults = [
+                ("epsilon", "1"),
+                ("eps-split", "0.5"),
+                ("m", "10"),
+                ("seed", "42"),
+                ("parallel", "1"),
+            ];
+            let members = defaults.iter().chain(flags).map(|&(f, v)| (member(f), wire_value(f, v)));
+            let spec = Json::obj(
+                [("store", Json::from(false)), ("csv", Json::from(csv))].into_iter().chain(members),
+            );
+            spec_from_json(&spec).map_err(|e| e.message).map(|p| p.resolve(&store).unwrap())
+        };
+
+        let valid: [&[(&str, &str)]; 4] = [
+            &[("model", "gl")],
+            &[
+                ("model", "lg"),
+                ("epsilon", "2.5"),
+                ("eps-split", "0.25"),
+                ("m", "7"),
+                ("seed", "99"),
+                ("parallel", "3"),
+            ],
+            &[("model", "pureg"), ("epsilon", "0.1"), ("m", "100000"), ("parallel", "1024")],
+            &[("model", "purel"), ("eps-split", "1e-9"), ("seed", "9007199254740991")],
+        ];
+        for flags in valid {
+            let spec = cli(flags).unwrap();
+            assert_eq!(wire(flags), Ok(spec.clone()), "{flags:?}");
+            assert_eq!(journal(flags), Ok(spec), "{flags:?}");
+        }
+        let bad = [
+            ("model", "zzz"),
+            ("epsilon", "-1"),
+            ("eps-split", "1.5"),
+            ("m", "0"),
+            ("seed", "-3"),
+            ("parallel", "0"),
+        ];
+        for (flag, v) in bad {
+            let flags: &[(&str, &str)] =
+                if flag == "model" { &[(flag, v)] } else { &[("model", "gl"), (flag, v)] };
+            let err = cli(flags).unwrap_err();
+            assert_eq!(wire(flags), Err(err.clone()), "{flags:?}");
+            assert_eq!(journal(flags), Err(err), "{flags:?}");
+        }
     }
 
     #[test]
