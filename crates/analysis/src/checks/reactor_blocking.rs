@@ -39,7 +39,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
         }
         let fn_name = e.fn_idx.map(|fi| m.fns[fi].name.as_str()).unwrap_or("<top level>");
         let blocked = match &e.kind {
-            EventKind::Io { method } => format!("durable I/O `{method}()`"),
+            EventKind::Io { method, .. } => format!("durable I/O `{method}()`"),
             EventKind::Acquire { lock } => format!("lock `{lock}` acquired"),
             EventKind::Call { callee } if callee == "sleep" => "`sleep` called".to_string(),
             _ => continue,

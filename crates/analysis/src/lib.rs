@@ -11,19 +11,22 @@
 //! * [`checks::unsafe_audit`] — every `unsafe` site needs an adjacent
 //!   `// SAFETY:` comment; crates without unsafe must carry
 //!   `#![forbid(unsafe_code)]`, the one with it `#![deny(unsafe_op_in_unsafe_fn)]`.
-//! * [`checks::lock_io`] — no `Mutex`/`RwLock` guard may be live across
-//!   a durable-write call (`sync_all`, `sync_data`, `persist`, `fsync`,
-//!   journal `append`/`rewrite`) in `crates/server`.
 //! * [`checks::determinism`] — `crates/core` and `crates/mech` must not
 //!   iterate default-hasher maps/sets or read wall clocks on
 //!   result-affecting paths.
 //! * [`checks::drift`] — PROTOCOL.md's error-code, verb, and metric
 //!   tables must match `api.rs`/`obs.rs` exactly.
+//! * [`checks::rng_discipline`] — `crates/core` + `crates/mech` derive
+//!   every RNG from `core::stream` per-unit streams.
 //!
 //! Four more consume the [`model`] dataflow layer (function/impl spans,
 //! guard liveness, a name-resolved call graph) because the invariants
-//! they guard span functions and files:
+//! they guard span functions, files, or guard lifetimes:
 //!
+//! * [`checks::lock_io`] — no `Mutex`/`RwLock` guard, `let`-else guards
+//!   included, may be live across a durable-write call (`sync_all`,
+//!   `sync_data`, `persist`, `fsync`, journal `append`/`rewrite`) in
+//!   `crates/server`.
 //! * [`checks::lock_order`] — the server's lock graph must match the
 //!   documented hierarchy (journal → queue, journal → store, nothing
 //!   else) and be cycle-free.
@@ -32,8 +35,6 @@
 //!   `// PANIC: <why impossible>` justification.
 //! * [`checks::reactor_blocking`] — the reactor thread must not do
 //!   durable I/O, sleep, or take locks outside `impl Executor`.
-//! * [`checks::rng_discipline`] — `crates/core` + `crates/mech` derive
-//!   every RNG from `core::stream` per-unit streams.
 //!
 //! Findings are deterministic, `file:line`-addressed, and suppressible
 //! only via an inline `// lint: allow(<check>): <reason>` pragma on the

@@ -20,10 +20,13 @@
 //!   Guards bound through an alias (`let (lock, cvar) = &*self.inner;`)
 //!   resolve to the aliased field, so the lock's *name* survives the
 //!   destructuring idiom the workspace uses for `Mutex`+`Condvar`
-//!   pairs.
+//!   pairs. `let Ok([mut] g) = m.lock() else { … };` binds a guard
+//!   too; a chain that goes on past the lock call
+//!   (`m.lock().unwrap().len()`) is a statement-scoped temporary.
 //! * **An event stream.** Lock acquisitions (with the set of locks held
 //!   at that point), calls (name-based, no type inference), durable-I/O
-//!   calls, and panic-capable sites (`unwrap`, `expect`, `panic!`,
+//!   calls (naming each live guard's binding and line), and
+//!   panic-capable sites (`unwrap`, `expect`, `panic!`,
 //!   `unreachable!`, slice indexing), each attributed to its function.
 //!
 //! `#[cfg(test)]` items are excluded entirely: every model-based check
@@ -46,9 +49,8 @@ use crate::SourceFile;
 /// and `io::Write::write(&buf)`.
 pub const LOCK_METHODS: [&str; 4] = ["lock", "try_lock", "read", "write"];
 
-/// Durable-write entry points (same inventory as the lock-across-io
-/// check): a call to any of these is disk I/O with an fsync in its
-/// contract.
+/// Durable-write entry points: a call to any of these is disk I/O with
+/// an fsync in its contract.
 pub const IO_METHODS: [&str; 6] =
     ["sync_all", "sync_data", "fsync", "persist", "append", "rewrite"];
 
@@ -103,8 +105,9 @@ pub enum EventKind {
     Acquire { lock: String },
     /// A call, by bare callee name (last path segment).
     Call { callee: String },
-    /// A durable-write call ([`IO_METHODS`]).
-    Io { method: String },
+    /// A durable-write call ([`IO_METHODS`]); `guards` holds the
+    /// `(binding, line bound)` of each guard live at the call.
+    Io { method: String, guards: Vec<(String, u32)> },
     /// A panic-capable site; `what` is a display label like
     /// `` `unwrap()` ``.
     Panic { what: String },
@@ -142,6 +145,8 @@ struct Guard {
     binding: String,
     /// Resolved lock name.
     lock: String,
+    /// Line of the binding's name token.
+    line: u32,
     /// Brace depth at the binding; the guard dies when the block closes.
     depth: i32,
     /// Code-token index of the statement's `;` — the guard is not live
@@ -304,8 +309,13 @@ pub fn build(sf: &SourceFile) -> FileModel {
             let is_flag = code[i + 1].is_ident("append")
                 && code.get(i + 3).is_some_and(|n| n.is_ident("true"));
             if !is_flag {
+                let live = guards
+                    .iter()
+                    .filter(|g| g.activate_after < i)
+                    .map(|g| (g.binding.clone(), g.line))
+                    .collect();
                 model.events.push(Event {
-                    kind: EventKind::Io { method: code[i + 1].text.clone() },
+                    kind: EventKind::Io { method: code[i + 1].text.clone(), guards: live },
                     line: code[i + 1].line,
                     fn_idx,
                     held: held(&guards, i),
@@ -688,7 +698,7 @@ fn parse_guard_let(
     let lock = receiver_name(code, lock_at, resolve)
         .map(|n| if n == "self" { impl_type.unwrap_or("self").to_string() } else { n })
         .unwrap_or_else(|| "<expr>".to_string());
-    Some(Guard { binding, lock, depth, activate_after: end })
+    Some(Guard { binding, lock, line: name_tok.line, depth, activate_after: end })
 }
 
 #[cfg(test)]
@@ -776,6 +786,8 @@ mod tests {
         );
         let io = m.events.iter().find(|e| matches!(e.kind, EventKind::Io { .. })).unwrap();
         assert_eq!(io.held, ["inner", "journal"], "{:?}", io.held);
+        let EventKind::Io { guards, .. } = &io.kind else { unreachable!() };
+        assert_eq!(guards, &[("j".to_string(), 2), ("q".to_string(), 3)]);
     }
 
     #[test]

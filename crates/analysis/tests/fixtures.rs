@@ -60,6 +60,24 @@ fn lock_io_flags_every_seeded_site() {
 }
 
 #[test]
+fn lock_io_flags_let_else_guard() {
+    let sf = fixture("lock_io/let_else_guard.rs");
+    let mut out = Vec::new();
+    lock_io::check_source(&sf, &mut out);
+    assert_eq!(lines_of(&out), vec![7], "{out:?}");
+    assert!(out[0].message.contains("`sync_data()`") && out[0].message.contains("`g`"));
+    assert!(out[0].message.contains("(bound at line 5)"), "{out:?}");
+}
+
+#[test]
+fn lock_io_ignores_statement_scoped_temporary() {
+    let sf = fixture("lock_io/statement_temporary.rs");
+    let mut out = Vec::new();
+    lock_io::check_source(&sf, &mut out);
+    assert!(out.is_empty(), "{out:?}");
+}
+
+#[test]
 fn lock_io_accepts_sanctioned_shapes() {
     let sf = fixture("lock_io/released_before_io.rs");
     let mut out = Vec::new();

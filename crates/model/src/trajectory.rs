@@ -91,18 +91,6 @@ impl Trajectory {
         r
     }
 
-    /// Diameter: the largest pairwise distance between samples. O(n²);
-    /// used by the DE utility metric on subsampled data.
-    pub fn diameter(&self) -> f64 {
-        let mut best = 0.0f64;
-        for i in 0..self.samples.len() {
-            for j in (i + 1)..self.samples.len() {
-                best = best.max(self.samples[i].loc.dist(&self.samples[j].loc));
-            }
-        }
-        best
-    }
-
     /// Approximate diameter via the bounding-box diagonal: an upper bound
     /// that is exact when extreme points sit on opposite corners. O(n).
     pub fn diameter_approx(&self) -> f64 {
@@ -251,15 +239,14 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.num_segments(), 0);
         assert!(t.trip().is_none());
-        assert_eq!(t.diameter(), 0.0);
         assert_eq!(t.diameter_approx(), 0.0);
     }
 
     #[test]
     fn diameter_exact_and_approx() {
         let t = traj(&[(0.0, 0.0), (3.0, 4.0), (1.0, 1.0)]);
-        assert_eq!(t.diameter(), 5.0);
-        // bbox is [0,3]×[0,4] so the diagonal is also 5.
+        // bbox is [0,3]×[0,4]; its diagonal equals the exact diameter
+        // (the (0,0)–(3,4) pair), 5.
         assert_eq!(t.diameter_approx(), 5.0);
     }
 

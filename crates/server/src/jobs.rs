@@ -708,6 +708,24 @@ impl JobQueue {
         })
     }
 
+    /// Appends `event` through `writer` — the caller holds the journal
+    /// lock — and records the append and its fsync time. Returns the
+    /// pre-append length for [`JournalWriter::rollback_to`].
+    fn append(&self, writer: &mut JournalWriter, event: &Json) -> std::io::Result<u64> {
+        let started = Instant::now();
+        let before = writer.append(event)?;
+        self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.metrics.journal_fsync.observe(started.elapsed());
+        Ok(before)
+    }
+
+    /// Test shorthand for [`Self::submit_scoped`] with no correlation
+    /// id and no tenant.
+    #[cfg(test)]
+    fn submit(&self, spec: AnonymizeSpec) -> Result<String, ApiError> {
+        self.submit_scoped(spec, None, None, None)
+    }
+
     /// Enqueues a job, returning its id. Fails once shutdown has begun
     /// (no worker would ever run it — the job would report `"queued"`
     /// forever) or if the journal cannot record it (an unjournaled
@@ -715,28 +733,16 @@ impl JobQueue {
     /// — including its fsync — runs outside the queue mutex, so
     /// concurrent `status`/`list` reads never stall behind a large
     /// submit; the id is acknowledged only after the event is durable.
-    pub fn submit(&self, spec: AnonymizeSpec) -> Result<String, ApiError> {
-        self.submit_with_cid(spec, None)
-    }
-
-    /// [`Self::submit`] carrying the submitting request's correlation
-    /// id, so worker-side log lines correlate with the v2 envelope of
-    /// the request that queued the job.
-    pub fn submit_with_cid(
-        &self,
-        spec: AnonymizeSpec,
-        cid: Option<String>,
-    ) -> Result<String, ApiError> {
-        self.submit_scoped(spec, cid, None, None)
-    }
-
-    /// [`Self::submit_with_cid`] on behalf of an authenticated tenant:
-    /// refuses with `quota-exceeded` once the tenant already has
-    /// `max_jobs` unfinished jobs, and attributes the job to the tenant
-    /// for later slot accounting. Both checks — this one and the ε
-    /// budget check every submit runs — happen under the journal lock
-    /// that serializes all accepting paths, so two concurrent submits
-    /// can never both pass a check only one of them fits under.
+    ///
+    /// `cid` is the submitting request's correlation id, so worker-side
+    /// log lines correlate with the v2 envelope of the request that
+    /// queued the job. With a `tenant`, the job is refused with
+    /// `quota-exceeded` once the tenant already has `max_jobs`
+    /// unfinished jobs, and is attributed to the tenant for later slot
+    /// accounting. Both checks — this one and the ε budget check every
+    /// submit runs — happen under the journal lock that serializes all
+    /// accepting paths, so two concurrent submits can never both pass a
+    /// check only one of them fits under.
     pub fn submit_scoped(
         &self,
         mut spec: AnonymizeSpec,
@@ -790,14 +796,9 @@ impl JobQueue {
                 ("job", Json::from(id.clone())),
                 ("spec", spec_to_json(&spec)),
             ]);
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(before) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                    appended_at = Some(before);
-                }
+            match self.append(writer, &event) {
+                Ok(before) => appended_at = Some(before),
                 Err(e) => {
                     if let Some(handle) = &spec.source {
                         self.store.unpin(handle);
@@ -927,12 +928,8 @@ impl JobQueue {
             // from its journaled submit to the same bytes. The result
             // handle a `store:true` re-run strands is cleaned up by the
             // startup orphan reconciliation.
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            if writer.append(&event).is_ok() {
-                self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.metrics.journal_fsync.observe(append_started.elapsed());
-            }
+            let _ = self.append(writer, &event);
             writer.finished_appends += 1;
         }
         // Spill before taking the queue mutex: the write is disk I/O
@@ -1166,14 +1163,9 @@ impl JobQueue {
         if let Some(writer) = journal.as_mut() {
             let event =
                 Json::obj([("event", Json::from("cancel")), ("job", Json::from(id.to_string()))]);
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(before) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                    appended_at = Some(before);
-                }
+            match self.append(writer, &event) {
+                Ok(before) => appended_at = Some(before),
                 Err(e) => return Err(ApiError::io(format!("cannot journal cancel: {e}"))),
             }
         }
@@ -1223,14 +1215,9 @@ impl JobQueue {
                 ("dataset", Json::from(handle.to_string())),
                 ("eps_budget", Json::from(budget)),
             ]);
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(_) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                }
-                Err(e) => return Err(ApiError::io(format!("cannot journal budget: {e}"))),
+            if let Err(e) = self.append(writer, &event) {
+                return Err(ApiError::io(format!("cannot journal budget: {e}")));
             }
         }
         let (lock, _) = &*self.inner;
@@ -1251,12 +1238,8 @@ impl JobQueue {
                 ("event", Json::from("reset")),
                 ("dataset", Json::from(handle.to_string())),
             ]);
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            if writer.append(&event).is_ok() {
-                self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.metrics.journal_fsync.observe(append_started.elapsed());
-            }
+            let _ = self.append(writer, &event);
         }
         let (lock, _) = &*self.inner;
         if let Ok(mut q) = lock.lock() {
@@ -1287,14 +1270,9 @@ impl JobQueue {
                 ("dataset", Json::from(handle.to_string())),
                 ("eps", Json::from(eps)),
             ]);
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(_) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                }
-                Err(e) => return Err(ApiError::io(format!("cannot journal spend: {e}"))),
+            if let Err(e) = self.append(writer, &event) {
+                return Err(ApiError::io(format!("cannot journal spend: {e}")));
             }
         }
         let mut q = lock.lock().map_err(|_| poisoned())?;
@@ -1307,8 +1285,10 @@ impl JobQueue {
 
     /// One handle's `(eps_spent, effective budget)` — settled plus
     /// in-flight spend, and the explicit budget falling back to the
-    /// server default. For the `info` verb.
-    pub fn eps_info(&self, handle: &str) -> (f64, Option<f64>) {
+    /// server default. Test shorthand; production reads
+    /// [`Self::eps_overview`].
+    #[cfg(test)]
+    fn eps_info(&self, handle: &str) -> (f64, Option<f64>) {
         let (lock, _) = &*self.inner;
         let Ok(q) = lock.lock() else { return (0.0, self.default_eps_budget) };
         (q.eps_spent(handle), q.ledger.effective_budget(handle, self.default_eps_budget))
@@ -2097,7 +2077,7 @@ mod tests {
     fn queue_publishes_job_counters_and_latencies() {
         let metrics = Arc::new(Metrics::new());
         let q = JobQueue::new().with_metrics(Arc::clone(&metrics));
-        let id = q.submit_with_cid(spec(), Some("req-77".to_string())).unwrap();
+        let id = q.submit_scoped(spec(), Some("req-77".to_string()), None, None).unwrap();
         assert_eq!(metrics.snapshot().queue_depth, 1);
         let worker = {
             let q = q.clone();

@@ -214,8 +214,9 @@ pub struct Metrics {
     /// Connections closed because a partial request line outlived the
     /// read deadline (slowloris / half-open peers).
     pub deadline_closes: AtomicU64,
-    /// Wall-clock of each readiness-loop iteration (poll wait +
-    /// event handling) — the reactor's heartbeat.
+    /// Wall-clock of each readiness-loop iteration's event handling,
+    /// timed from when the poll wait returns (the wait itself is
+    /// excluded) — the reactor's heartbeat.
     pub reactor_iterations: Histogram,
     /// Jobs accepted by `submit`.
     pub jobs_submitted: AtomicU64,
@@ -344,8 +345,9 @@ impl Metrics {
         *self.tenancy().requests.entry(tenant.to_string()).or_insert(0) += 1;
     }
 
-    /// Counts one rejected request for `tenant` (bad token, quota,
-    /// budget, or any other error answer).
+    /// Counts one request refused for `tenant` with `quota-exceeded` or
+    /// `budget-exhausted`; other errors (bad tokens included) are only
+    /// in the per-code error counters.
     pub fn record_tenant_rejection(&self, tenant: &str) {
         *self.tenancy().rejections.entry(tenant.to_string()).or_insert(0) += 1;
     }
