@@ -1072,7 +1072,9 @@ impl JobQueue {
                     (Ok(_), Some(t)) => {
                         fields.push(("ok", Json::Bool(true)));
                         fields.push(("total_secs", Json::from(t.total_secs)));
+                        fields.push(("parse_secs", Json::from(t.parse_secs)));
                         fields.push(("realize_secs", Json::from(t.realize_secs)));
+                        fields.push(("render_secs", Json::from(t.render_secs)));
                     }
                     (Ok(_), None) => fields.push(("ok", Json::Bool(true))),
                     (Err(e), _) => {

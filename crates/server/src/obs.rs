@@ -762,11 +762,14 @@ impl MetricsSnapshot {
 /// build/increase/decrease/realize stages come from the core's
 /// modification phase ([`trajdp_core::global::StageTimings`]); `global`
 /// and `local` are the mechanism-level walls the pipeline driver
-/// already measures; `total` is the end-to-end request wall.
+/// already measures; `parse` and `render` are the CSV codec's two
+/// ends; `total` is the end-to-end request wall.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTimings {
     /// End-to-end anonymize wall (parse → released dataset).
     pub total_secs: f64,
+    /// CSV parse of the input dataset (the first part of `total`).
+    pub parse_secs: f64,
     /// Global mechanism wall (perturbation + modification).
     pub global_secs: f64,
     /// Local mechanism wall.
@@ -779,6 +782,8 @@ pub struct PhaseTimings {
     pub decrease_secs: f64,
     /// Total modification (realize) wall.
     pub realize_secs: f64,
+    /// CSV render of the released dataset (after `total` ends).
+    pub render_secs: f64,
 }
 
 impl PhaseTimings {
@@ -787,12 +792,14 @@ impl PhaseTimings {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("total_secs", Json::from(self.total_secs)),
+            ("parse_secs", Json::from(self.parse_secs)),
             ("global_secs", Json::from(self.global_secs)),
             ("local_secs", Json::from(self.local_secs)),
             ("build_secs", Json::from(self.build_secs)),
             ("increase_secs", Json::from(self.increase_secs)),
             ("decrease_secs", Json::from(self.decrease_secs)),
             ("realize_secs", Json::from(self.realize_secs)),
+            ("render_secs", Json::from(self.render_secs)),
         ])
     }
 }
@@ -1094,15 +1101,19 @@ mod tests {
     fn phase_timings_serialize() {
         let t = PhaseTimings {
             total_secs: 1.5,
+            parse_secs: 0.05,
             global_secs: 1.0,
             local_secs: 0.25,
             build_secs: 0.1,
             increase_secs: 0.4,
             decrease_secs: 0.3,
             realize_secs: 0.9,
+            render_secs: 0.125,
         };
         let v = t.to_json();
         assert_eq!(v.get("total_secs").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(v.get("parse_secs").and_then(Json::as_f64), Some(0.05));
         assert_eq!(v.get("realize_secs").and_then(Json::as_f64), Some(0.9));
+        assert_eq!(v.get("render_secs").and_then(Json::as_f64), Some(0.125));
     }
 }

@@ -750,20 +750,27 @@ pub fn run_anonymize(spec: &AnonymizeSpec) -> Result<Response, ApiError> {
     let started = std::time::Instant::now();
     let ds = from_csv(&spec.csv)
         .map_err(|e| ApiError::invalid_dataset(format!("cannot parse csv: {e}")))?;
+    let parse_secs = started.elapsed().as_secs_f64();
     let result = trajdp_core::anonymize(&ds, spec.model, &spec.config())
         .map_err(|e| ApiError::internal(e.to_string()))?;
+    let total_secs = started.elapsed().as_secs_f64();
+    let rendering = std::time::Instant::now();
+    let csv = to_csv(&result.dataset);
+    let render_secs = rendering.elapsed().as_secs_f64();
     let stage = result.global.as_ref().map(|g| g.timings).unwrap_or_default();
     let timings = crate::obs::PhaseTimings {
-        total_secs: started.elapsed().as_secs_f64(),
+        total_secs,
+        parse_secs,
         global_secs: result.global_time.as_secs_f64(),
         local_secs: result.local_time.as_secs_f64(),
         build_secs: stage.build.as_secs_f64(),
         increase_secs: stage.increase.as_secs_f64(),
         decrease_secs: stage.decrease.as_secs_f64(),
         realize_secs: stage.realize.as_secs_f64(),
+        render_secs,
     };
     Ok(Response::Anonymize {
-        data: Payload::Inline(to_csv(&result.dataset)),
+        data: Payload::Inline(csv),
         epsilon_spent: result.epsilon_spent,
         edits: result.total_edits() as u64,
         utility_loss: result.utility_loss(),
@@ -1273,6 +1280,30 @@ mod tests {
         let err = run_anonymize(&spec).unwrap_err();
         assert_eq!(err.code, crate::api::ErrorCode::InvalidDataset);
         assert!(err.message.contains("cannot parse csv"), "{err}");
+    }
+
+    #[test]
+    fn run_anonymize_times_the_csv_parse_and_render() {
+        let world = generate(&GeneratorConfig::tdrive_profile(6, 30, 2));
+        let spec = AnonymizeSpec {
+            model: Model::Combined,
+            epsilon: 1.0,
+            eps_split: 0.5,
+            m: 4,
+            seed: 1,
+            workers: 1,
+            store_result: false,
+            source: None,
+            csv: std::sync::Arc::new(to_csv(&world.dataset)),
+        };
+        match run_anonymize(&spec).unwrap() {
+            Response::Anonymize { timings: Some(t), .. } => {
+                assert!(t.parse_secs > 0.0, "{t:?}");
+                assert!(t.render_secs > 0.0, "{t:?}");
+                assert!(t.parse_secs <= t.total_secs, "the parse is part of the total: {t:?}");
+            }
+            other => panic!("expected an anonymize response with timings, got {other:?}"),
+        }
     }
 
     #[test]

@@ -762,3 +762,49 @@ fn cancel_shapes_and_max_queue_back_pressure() {
     drop(c);
     server.shutdown();
 }
+
+/// A CSV with a non-finite coordinate is an invalid dataset on the
+/// wire, and the message names the line; a finite one succeeds and
+/// reports the CSV codec's timings.
+#[test]
+fn non_finite_coordinates_answer_invalid_dataset() {
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        max_connections: 4,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Raw::connect(server.local_addr());
+    let request = |x: &str| {
+        Json::obj([
+            ("cmd", Json::from("anonymize")),
+            ("model", Json::from("gl")),
+            ("m", Json::from(2u64)),
+            ("csv", Json::from(format!("traj_id,x,y,t\n1,0,0,0\n1,{x},2,5\n1,3,1,9\n"))),
+            ("v", Json::from(2u64)),
+            ("id", Json::from("nf")),
+        ])
+        .to_string()
+    };
+    for bad in ["NaN", "inf", "-infinity"] {
+        let r = trajdp_server::json::parse(&c.send(&request(bad))).unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r}");
+        let error = r.get("error").expect("v2 error object");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some(ErrorCode::InvalidDataset.as_str()),
+            "{r}"
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(&format!("line 3: bad x: \"1,{bad},2,5\"")), "{message}");
+    }
+    let r = trajdp_server::json::parse(&c.send(&request("1.5"))).unwrap();
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r}");
+    let timings = r.get("timings").expect("a v2 anonymize reports timings");
+    for member in ["parse_secs", "render_secs"] {
+        assert!(timings.get(member).and_then(Json::as_f64).is_some(), "{member}: {timings}");
+    }
+    drop(c);
+    server.shutdown();
+}

@@ -56,6 +56,15 @@ done
 cmp "$TMP/parallel-1.csv" "$TMP/parallel-4.csv" \
     || { echo "FAIL: anonymize --parallel 4 differs from --parallel 1" >&2; exit 1; }
 
+# A non-finite coordinate is a bad record, not a location: the CLI
+# exits 1 and names the file and the line.
+printf 'traj_id,x,y,t\n1,0,0,0\n1,NaN,2,5\n' > "$TMP/nan.csv"
+rc=0; "$BIN" anonymize --model gl --seed 9 --input "$TMP/nan.csv" --out "$TMP/nan-out.csv" \
+    2> "$TMP/nan.err" || rc=$?
+[ "$rc" = 1 ] || { echo "FAIL: anonymize on a NaN coordinate must exit 1 (got $rc)" >&2; exit 1; }
+grep -q 'nan.csv: .*line 3: bad x' "$TMP/nan.err" \
+    || { echo "FAIL: NaN error must name the file and line: $(cat "$TMP/nan.err")" >&2; exit 1; }
+
 # A tiny --max-datasets cap so the lifecycle phase below can hit it with
 # a handful of uploads.
 "$BIN" serve --addr "$ADDR" --workers 2 --state-dir "$TMP/state" \
@@ -167,6 +176,11 @@ printf '%s' "$V2VERB" | grep -q '"code":"unknown-verb"' \
 V1MISS=$(echo '{"cmd":"download","dataset":"ds-404"}' | "$BIN" submit --addr "$ADDR2")
 printf '%s' "$V1MISS" | grep -q '"error":"unknown dataset' \
     || { echo "FAIL: v1 error shape changed: $V1MISS" >&2; exit 1; }
+# The NaN CSV inline over the wire is an invalid dataset.
+V2NAN=$(printf '%s\n' "{\"cmd\":\"anonymize\",\"model\":\"gl\",\"m\":4,\"seed\":9,\"v\":2,\"id\":\"smoke-nan\",\"csv\":\"traj_id,x,y,t\\n1,0,0,0\\n1,NaN,2,5\\n\"}" \
+    | "$BIN" submit --addr "$ADDR2")
+printf '%s' "$V2NAN" | grep -q '"code":"invalid-dataset"' \
+    || { echo "FAIL: a NaN coordinate must code invalid-dataset: $V2NAN" >&2; exit 1; }
 
 # ---- info: discoverable caps drive the download chunk size ----------
 INFO=$("$BIN" info --addr "$ADDR2")
@@ -294,4 +308,4 @@ STILL=$(echo "{\"cmd\":\"anonymize\",\"dataset\":\"$ADS\",\"model\":\"gl\",\"m\"
 printf '%s' "$STILL" | grep -q '"code":"budget-exhausted"' \
     || { echo "FAIL: ε spend must survive the restart: $STILL" >&2; exit 1; }
 
-echo "smoke test passed: --parallel 1 vs 4 byte-identical, chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, tenant budget survives kill+restart"
+echo "smoke test passed: --parallel 1 vs 4 byte-identical, NaN input refused, chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, v2 envelope + error codes (NaN is invalid-dataset) + metrics scrape + parallel burst + exit classes OK, tenant budget survives kill+restart"
